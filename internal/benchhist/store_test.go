@@ -37,7 +37,7 @@ func TestFuzzSweepRoundTrip(t *testing.T) {
 	withFuzz := testEntry("bbbb2222")
 	withFuzz.Fuzz = &FuzzSweep{
 		Seed: 1, Programs: 2000, OK: 1160, Skipped: 100,
-		Precision: 740, Errors: 0, Engine: 0, Soundness: 0,
+		Precision: 740, Errors: 0, Soundness: 0,
 	}
 	if err := Append(path, plain); err != nil {
 		t.Fatal(err)
@@ -259,5 +259,77 @@ func TestNewSpecTimingStats(t *testing.T) {
 	}
 	if got := NewSpecTiming("t", nil, nil); got.MedianNs != 0 {
 		t.Errorf("empty sample stats wrong: %+v", got)
+	}
+}
+
+// TestHostGOMAXPROCSRoundTrip: the scheduler limit survives the history,
+// shows in the host rendering, and stays out of entries that never set it
+// (older entries read back as 0, "not recorded").
+func TestHostGOMAXPROCSRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hist.jsonl")
+	old := testEntry("aaaa1111")
+	cur := testEntry("bbbb2222")
+	cur.Host.GOMAXPROCS = 2
+	for _, e := range []*Entry{old, cur} {
+		if err := Append(path, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if strings.Contains(lines[0], "gomaxprocs") || !strings.Contains(lines[1], `"gomaxprocs":2`) {
+		t.Fatalf("gomaxprocs encoding wrong:\n%s", data)
+	}
+	entries, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := entries[0].Host.GOMAXPROCS; got != 0 {
+		t.Errorf("old entry GOMAXPROCS = %d, want 0", got)
+	}
+	if got := entries[1].Host; got != cur.Host {
+		t.Errorf("host did not round-trip: %+v, want %+v", got, cur.Host)
+	}
+	if got, want := entries[1].Host.String(), "linux/amd64 8cpu go1.22 gomaxprocs=2"; got != want {
+		t.Errorf("Host.String() = %q, want %q", got, want)
+	}
+	if entries[0].Host.Same(entries[1].Host) {
+		t.Error("hosts differing in GOMAXPROCS compare as the same host")
+	}
+}
+
+// TestReadLegacyEngineFields: entries recorded while the history carried a
+// worker-scaling block and a fuzz "engine" count still load; the fields are
+// ignored.
+func TestReadLegacyEngineFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hist.jsonl")
+	e := testEntry("aaaa1111")
+	e.Fuzz = &FuzzSweep{Seed: 1, Programs: 2000, OK: 1160, Precision: 840}
+	line, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(line, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["scaling"] = map[string]any{"fig7_shift": map[string]any{"ns_per_op": map[string]int{"1": 4000, "8": 1000}}}
+	m["fuzz"].(map[string]any)["engine"] = 6
+	legacy, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(legacy, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := Read(path)
+	if err != nil {
+		t.Fatalf("legacy entry rejected: %v", err)
+	}
+	if fz := entries[0].Fuzz; fz == nil || fz.Programs != 2000 || fz.Precision != 840 {
+		t.Fatalf("legacy fuzz summary = %+v", fz)
 	}
 }

@@ -37,20 +37,10 @@ type Stats struct {
 	// sync.Pool vs freshly allocated.
 	arenaHits   atomic.Int64
 	arenaMisses atomic.Int64
-	// Parallel-engine accounting: canonical-key serializations served from
-	// the per-state cache vs rebuilt, worklist pushes coalesced into an
-	// already-queued configuration (re-visits the scheduler saved), and
-	// configuration-table shard lock acquisitions that had to wait.
-	keyCacheHits    atomic.Int64
-	keyCacheMisses  atomic.Int64
-	schedCoalesced  atomic.Int64
-	shardContention atomic.Int64
-	// Sharded-scheduler accounting: pops a worker stole from another
-	// worker's home shard, and lock acquisitions saved by committing a
-	// step's same-shard revisions (table writes and scheduler pushes) in
-	// one critical section instead of one per successor.
-	schedSteals  atomic.Int64
-	batchedSaved atomic.Int64
+	// Canonical-key serializations served from the per-state cache vs
+	// rebuilt.
+	keyCacheHits   atomic.Int64
+	keyCacheMisses atomic.Int64
 }
 
 // FullClosures returns the number of O(n^3) closure passes.
@@ -96,23 +86,6 @@ func (s *Stats) KeyCacheHitRate() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// SchedCoalesced returns how many worklist pushes were absorbed into an
-// already-queued configuration — re-visits the scheduler saved.
-func (s *Stats) SchedCoalesced() int64 { return s.schedCoalesced.Load() }
-
-// ShardContention returns how many shard lock acquisitions found the lock
-// already held (parallel engine only).
-func (s *Stats) ShardContention() int64 { return s.shardContention.Load() }
-
-// SchedSteals returns how many scheduler pops were served from a shard
-// other than the popping worker's home shard (work stealing).
-func (s *Stats) SchedSteals() int64 { return s.schedSteals.Load() }
-
-// BatchedSaved returns how many lock acquisitions the batched shard-commit
-// path saved by folding a step's same-shard revisions into one critical
-// section.
-func (s *Stats) BatchedSaved() int64 { return s.batchedSaved.Load() }
-
 // AddKeyCacheHits bumps the key-cache hit counter. Safe on a nil receiver.
 func (s *Stats) AddKeyCacheHits(n int64) {
 	if s != nil {
@@ -124,36 +97,6 @@ func (s *Stats) AddKeyCacheHits(n int64) {
 func (s *Stats) AddKeyCacheMisses(n int64) {
 	if s != nil {
 		s.keyCacheMisses.Add(n)
-	}
-}
-
-// AddSchedCoalesced bumps the coalesced-push counter. Safe on a nil receiver.
-func (s *Stats) AddSchedCoalesced(n int64) {
-	if s != nil {
-		s.schedCoalesced.Add(n)
-	}
-}
-
-// AddShardContention bumps the shard-contention counter. Safe on a nil
-// receiver.
-func (s *Stats) AddShardContention(n int64) {
-	if s != nil {
-		s.shardContention.Add(n)
-	}
-}
-
-// AddSchedSteals bumps the work-stealing counter. Safe on a nil receiver.
-func (s *Stats) AddSchedSteals(n int64) {
-	if s != nil {
-		s.schedSteals.Add(n)
-	}
-}
-
-// AddBatchedSaved bumps the batched-commit savings counter. Safe on a nil
-// receiver.
-func (s *Stats) AddBatchedSaved(n int64) {
-	if s != nil {
-		s.batchedSaved.Add(n)
 	}
 }
 
@@ -209,10 +152,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.arenaMisses.Add(o.arenaMisses.Load())
 	s.keyCacheHits.Add(o.keyCacheHits.Load())
 	s.keyCacheMisses.Add(o.keyCacheMisses.Load())
-	s.schedCoalesced.Add(o.schedCoalesced.Load())
-	s.shardContention.Add(o.shardContention.Load())
-	s.schedSteals.Add(o.schedSteals.Load())
-	s.batchedSaved.Add(o.batchedSaved.Load())
 }
 
 // Reset zeroes the counters.
@@ -232,8 +171,4 @@ func (s *Stats) Reset() {
 	s.arenaMisses.Store(0)
 	s.keyCacheHits.Store(0)
 	s.keyCacheMisses.Store(0)
-	s.schedCoalesced.Store(0)
-	s.shardContention.Store(0)
-	s.schedSteals.Store(0)
-	s.batchedSaved.Store(0)
 }

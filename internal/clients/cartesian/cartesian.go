@@ -33,7 +33,7 @@ type Matcher struct {
 	ctx    *hsm.Ctx
 	prover *hsm.Prover
 	// proveMu serializes prover searches (and their Ctx-driven term
-	// conversions) across engine workers.
+	// conversions), keeping the matcher safe for concurrent use.
 	proveMu sync.Mutex
 
 	// memo caches whole-set HSM match decisions. The HSM proof outcome is a

@@ -4,12 +4,16 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cfg"
 	"repro/internal/cg"
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // suiteJobs builds one AnalyzeAll job per paper workload, each with its own
@@ -34,41 +38,87 @@ func suiteJobs(ws []*bench.Workload) ([]core.Job, []*cg.Stats, []*cartesian.Matc
 	return jobs, stats, matchers
 }
 
-func topologyKey(res *core.Result) string {
-	out := ""
-	for _, m := range res.Matches {
-		out += fmt.Sprintf("n%d%s->n%d%s;", m.SendNode, m.Sender, m.RecvNode, m.Receiver)
+// program is one input to the job-level equivalence checks: a parse
+// function (each analysis gets a fresh CFG) and the options to run it with.
+type program struct {
+	name  string
+	parse func() *cfg.Graph
+	opts  core.Options
+}
+
+func workloadPrograms(opts core.Options) []program {
+	var out []program
+	for _, w := range bench.All() {
+		w := w
+		out = append(out, program{w.Name, func() *cfg.Graph { _, g := w.Parse(); return g }, opts})
 	}
 	return out
 }
 
-// TestAnalyzeAllMatchesSequential runs the full workload suite once
-// sequentially and once on the pool and asserts identical outcomes.
-func TestAnalyzeAllMatchesSequential(t *testing.T) {
-	ws := bench.All()
-	seqJobs, _, _ := suiteJobs(ws)
-	parJobs, _, _ := suiteJobs(ws)
-	seq := core.AnalyzeAll(seqJobs, 1)
-	par := core.AnalyzeAll(parJobs, 4)
-	if len(seq) != len(ws) || len(par) != len(ws) {
-		t.Fatalf("result count: seq %d, par %d, want %d", len(seq), len(par), len(ws))
+// concurrentSignatures runs one AnalyzeAll job per program with
+// parallelism jobs in flight and GOMAXPROCS forced to at least 2, so the
+// jobs really interleave even on a single-CPU host. Every job shares one
+// cg.Stats, obs.Tracer and obs.Registry, the sinks AnalyzeAll documents as
+// shareable; they are returned for the caller to inspect.
+func concurrentSignatures(t *testing.T, progs []program, parallelism int) ([]string, *cg.Stats, *obs.Tracer, *obs.Registry) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(max(2, prev))
+	defer runtime.GOMAXPROCS(prev)
+	stats, tr, reg := &cg.Stats{}, obs.NewTracer(), obs.NewRegistry()
+	jobs := make([]core.Job, len(progs))
+	for i, p := range progs {
+		g := p.parse()
+		opts := p.opts
+		opts.Matcher = cartesian.New(core.ScanInvariants(g))
+		opts.CGOpts.Stats = stats
+		opts.Tracer = tr
+		opts.Metrics = reg
+		jobs[i] = core.Job{Name: p.name, G: g, Opts: opts}
 	}
-	for i := range ws {
-		if seq[i].Err != nil {
-			t.Fatalf("%s: sequential error: %v", seq[i].Name, seq[i].Err)
+	results := core.AnalyzeAll(jobs, parallelism)
+	sigs := make([]string, len(progs))
+	for i, jr := range results {
+		if jr.Err != nil {
+			t.Fatalf("%s: %v", jr.Name, jr.Err)
 		}
-		if par[i].Err != nil {
-			t.Fatalf("%s: parallel error: %v", par[i].Name, par[i].Err)
+		if jr.Name != progs[i].name {
+			t.Fatalf("result %d out of order: %s, want %s", i, jr.Name, progs[i].name)
 		}
-		if par[i].Name != ws[i].Name {
-			t.Errorf("result %d out of order: %s", i, par[i].Name)
+		sigs[i] = signature(jr.Res)
+	}
+	return sigs, stats, tr, reg
+}
+
+// TestAnalyzeAllMatchesSequential checks the only concurrency the analysis
+// has, job-level parallelism, under real interleavings: the paper suite
+// runs on a pool of 4 with shared stats, tracer and registry, and every
+// job's result must equal a standalone Analyze of the same program.
+func TestAnalyzeAllMatchesSequential(t *testing.T) {
+	progs := workloadPrograms(core.Options{})
+	got, stats, tr, reg := concurrentSignatures(t, progs, 4)
+	for i, p := range progs {
+		if want := signature(analyzeWith(t, p.parse(), p.opts)); got[i] != want {
+			t.Errorf("%s: pooled result differs from standalone:\n got: %s\nwant: %s", p.name, got[i], want)
 		}
-		sk, pk := topologyKey(seq[i].Res), topologyKey(par[i].Res)
-		if sk != pk {
-			t.Errorf("%s: topology differs:\nseq: %s\npar: %s", ws[i].Name, sk, pk)
-		}
-		if seq[i].Res.Clean() != par[i].Res.Clean() {
-			t.Errorf("%s: clean differs", ws[i].Name)
+	}
+	if stats.Joins() == 0 {
+		t.Error("shared stats saw no joins")
+	}
+	pids := map[int]bool{}
+	for _, ev := range tr.Events() {
+		pids[ev.Pid] = true
+	}
+	if len(pids) != len(progs) {
+		t.Errorf("shared tracer saw %d jobs, want %d", len(pids), len(progs))
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for i := range progs {
+		if series := fmt.Sprintf("psdf_engine_steps_total{job=\"%d\"}", i+1); !strings.Contains(sb.String(), series) {
+			t.Errorf("shared registry missing %s", series)
 		}
 	}
 }

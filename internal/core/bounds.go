@@ -203,8 +203,6 @@ func (e *engine) recordCommBounds(st *State, ps *ProcSet) {
 
 func (e *engine) addBoundsObs(obs CommBoundsObs) {
 	key := fmt.Sprintf("%d|%s|%d|%s|%s", obs.Node, obs.Dir, obs.Status, obs.Range, obs.Detail)
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
 	if e.obsSeen[key] {
 		return
 	}

@@ -23,16 +23,11 @@ import (
 // Worklist schedule names accepted by Options.Schedule.
 const (
 	// ScheduleFIFO visits configurations breadth-first in discovery order
-	// (the default; Workers=1 with this schedule reproduces the classic
-	// sequential worklist exactly).
+	// (the default; it reproduces the classic worklist exactly).
 	ScheduleFIFO = "fifo"
 	// ScheduleLIFO explores depth-first: loop bodies reach their local
 	// fixpoint before sibling configurations are expanded.
 	ScheduleLIFO = "lifo"
-	// ScheduleShape pops the lexicographically smallest shape key first,
-	// grouping configurations of the same control region so queued
-	// revisions coalesce into fewer visits.
-	ScheduleShape = "shape"
 )
 
 // Options configures the pCFG analysis engine.
@@ -62,14 +57,8 @@ type Options struct {
 	NonBlockingSends bool
 	// Trace receives step-by-step analysis logging when non-nil.
 	Trace io.Writer
-	// Workers is the number of goroutines driving the worklist (default 1:
-	// the sequential engine). With Workers > 1 the configuration table is
-	// sharded and workers step snapshots of distinct configurations
-	// concurrently; the Matcher must then be safe for concurrent use (the
-	// bundled clients are).
-	Workers int
-	// Schedule selects the worklist order: ScheduleFIFO (default),
-	// ScheduleLIFO or ScheduleShape. Any other value is an error.
+	// Schedule selects the worklist order: ScheduleFIFO (default) or
+	// ScheduleLIFO. Any other value is an error.
 	Schedule string
 	// RecordCommBounds enables rank-bounds observations: every process set
 	// reaching a communication operation has its partner expression checked
@@ -77,19 +66,14 @@ type Options struct {
 	// accumulate in Result.CommBounds (for the lint rank-bounds pass). Off
 	// by default — the checks cost extra entailment queries per comm site.
 	RecordCommBounds bool
-	// Shards is the configuration-table shard count for the parallel
-	// engine, rounded up to a power of two (default 32). Smaller values
-	// increase lock contention; useful in tests to stress the locking.
-	Shards int
 	// Tracer receives a span per engine phase (step, transfer, match,
-	// split, insert, join, widen, give-up commit, finish; plus dequeue on
-	// the parallel path) when non-nil. Tracing only observes — results are
-	// byte-identical with it on or off — and the nil default costs nothing.
+	// split, insert, join, widen, give-up commit, finish) when non-nil.
+	// Tracing only observes — results are byte-identical with it on or off
+	// — and the nil default costs nothing.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the engine's counters and gauges:
-	// final step/widening/config counts, interned-key count, per-shard
-	// table sizes, and (parallel path) live + high-water scheduler
-	// queue-depth and pending gauges.
+	// final step/widening/config counts, interned-key count and the
+	// worklist queue-depth high-water mark.
 	Metrics *obs.Registry
 	// TracePID labels this analysis's spans and metric series when several
 	// jobs share one tracer or registry (AnalyzeAll assigns input position
@@ -105,12 +89,12 @@ type Options struct {
 	// Progress, when non-nil, receives this analysis's live progress
 	// sampler (and, after convergence, its final snapshot) keyed by
 	// TracePID — the backing store of the /statusz surface. Sampling reads
-	// only atomics, mutex-protected counters and brief shard-lock queue
-	// sizes, so it never stalls the fixpoint.
+	// only atomics and mutex-protected counters, so it never stalls the
+	// fixpoint.
 	Progress *obs.ProgressTracker
-	// FlightRecorder, when non-nil, continuously records recent scheduler,
-	// step and commit events into a bounded ring buffer for post-mortem
-	// dumps (stall watchdog, step-budget abort).
+	// FlightRecorder, when non-nil, continuously records recent step and
+	// give-up events into a bounded ring buffer for post-mortem dumps
+	// (stall watchdog, step-budget abort).
 	FlightRecorder *obs.FlightRecorder
 	// StallTimeout, when positive, arms a no-progress watchdog over the
 	// fixpoint: if steps, widenings and configuration discovery all stand
@@ -125,27 +109,22 @@ type Options struct {
 	// smoke path for the stall machinery. Requires StallTimeout > 0.
 	ForceStall bool
 	// ProfileLabels attaches runtime/pprof goroutine labels (psdf_job,
-	// psdf_worker, psdf_phase) to the parallel workers and the finish
-	// post-pass, so CPU profiles attribute samples per analysis and phase.
+	// psdf_phase) to the fixpoint and the finish post-pass, so CPU profiles
+	// attribute samples per analysis and phase.
 	ProfileLabels bool
 	// Profiler, when non-nil, collects the source-attribution profile:
 	// per-CFG-node step time, spawned configurations, matcher/memo/prover
 	// cost, joins, widenings and their failing bound pairs, give-ups and ⊤
-	// demotions. Workers record into private per-tid lanes (no hot-path
-	// synchronization); the engine commits the merged lanes into the
-	// profiler once, after convergence. Nil costs one pointer check.
+	// demotions. The engine records into a private lane (no hot-path
+	// synchronization) and commits it into the profiler once, after
+	// convergence. Nil costs one pointer check.
 	Profiler *prof.Profiler
 	// onRevision, when non-nil, observes every canonicalized successor
-	// state the sequential engine delivers to the configuration table,
+	// state the engine delivers to the configuration table,
 	// keyed by shape. Recording hook for the arrival-order permutation
 	// suite (installed via WithRevisionHook in tests).
 	onRevision func(key string, st *State)
 }
-
-// parallelJoinVisits is the join→widen rung the parallel engine defaults
-// to (Options.JoinVisits overrides it). See the resolution in Analyze for
-// why coalesced delivery makes the sequential default an over-delay.
-const parallelJoinVisits = 3
 
 func (o *Options) joinVisits() int {
 	if o.JoinVisits <= 0 {
@@ -175,36 +154,15 @@ func (o *Options) maxSteps() int {
 	return o.MaxSteps
 }
 
-func (o *Options) workers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
-}
-
-func (o *Options) shardCount() int {
-	n := o.Shards
-	if n <= 0 {
-		n = 32
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 func (o *Options) schedule() (string, error) {
 	switch o.Schedule {
 	case "", ScheduleFIFO:
 		return ScheduleFIFO, nil
 	case ScheduleLIFO:
 		return ScheduleLIFO, nil
-	case ScheduleShape:
-		return ScheduleShape, nil
 	}
-	return "", fmt.Errorf("core: unknown Options.Schedule %q (want %q, %q or %q)",
-		o.Schedule, ScheduleFIFO, ScheduleLIFO, ScheduleShape)
+	return "", fmt.Errorf("core: unknown Options.Schedule %q (want %q or %q)",
+		o.Schedule, ScheduleFIFO, ScheduleLIFO)
 }
 
 // PCFGEdge is one explored pCFG edge: a transition between configurations.
@@ -320,8 +278,8 @@ type tableEntry struct {
 	widenParam string
 	// seen records the full keys of every state delivered to (or committed
 	// on) this entry. The entry only ascends, so each of those states stays
-	// below it forever: a re-delivery with a key in this set — the parallel
-	// engine's stale-re-step churn — is dropped before the combine runs.
+	// below it forever: a re-delivery with a key in this set is dropped
+	// before the combine runs.
 	// Beyond saving the combine, this keeps the widen rung reductive on
 	// duplicates (cg.Widen against an already-absorbed state is not a
 	// representation no-op, so without the filter duplicate traffic could
@@ -336,76 +294,58 @@ type tableEntry struct {
 	// version that is later revised is transient — the revised entry may
 	// step past the dead end — so give-ups become real only at convergence,
 	// when finish() commits the verdicts of the final entry versions
-	// (commitStuckTops). Without the deferral a parallel worker stepping a
-	// stale intermediate version could permanently poison the result with a
-	// ⊤ the sequential engine never sees.
+	// (commitStuckTops).
 	stuckTops []succ
 }
 
-// tableShard is one lock-striped slice of the configuration table, indexed
-// by interned shape-key ids. The sequential engine uses the shards as plain
-// maps (no locking); the parallel engine locks a shard around entry reads,
-// snapshots and revisions.
-type tableShard struct {
-	mu sync.Mutex
-	m  map[uint64]*tableEntry
-}
-
+// engine is one analysis run. The fixpoint runs on the calling goroutine;
+// the fields other goroutines read while it runs — the progress sampler
+// and the stall watchdog — are the interner (lock-protected) and the
+// steps/widenings/giveUps atomics.
 type engine struct {
-	g         *cfg.Graph
-	opts      Options
-	in        *interner
-	shards    []tableShard
-	shardMask uint64
+	g    *cfg.Graph
+	opts Options
+	in   *interner
+	// table is the configuration table, keyed by interned shape-key id.
+	table     map[uint64]*tableEntry
 	inv       *Invariants
 	res       *Result
-	resMu     sync.Mutex // guards res.Edges, res.Prints and Trace output
-	nParam    atomic.Int64
+	nParam    int64
 	steps     atomic.Int64
 	widenings atomic.Int64
 	giveUps   atomic.Int64
-	budgetHit atomic.Bool
-	parallel  bool
+	budgetHit bool
 	started   time.Time
 	dumpOnce  sync.Once
 	// visited marks CFG nodes some non-empty process set was positioned at
 	// in a reachable configuration (indexed by node ID; used by the
-	// dead-code lint pass). Atomic because parallel workers normalize
-	// concurrently.
-	visited []atomic.Bool
-	// obsMu/obsSeen dedupe rank-bounds observations across revisits.
-	obsMu   sync.Mutex
+	// dead-code lint pass).
+	visited []bool
+	// obsSeen dedupes rank-bounds observations across revisits.
 	obsSeen map[string]bool
 
-	// Sequential path (Workers == 1).
-	queue      workQueue
-	inWork     map[uint64]bool
-	seqDepthHW int // queue-depth high-water mark
+	queue   workQueue
+	inWork  map[uint64]bool
+	depthHW int // queue-depth high-water mark
 
-	// Parallel path (Workers > 1).
-	sched *scheduler
-
-	// Source-attribution profiler (nil when Options.Profiler is nil):
-	// per-tid private counter lanes merged into Options.Profiler once at
-	// commit, after all workers have joined. profMemo/profProver expose
-	// the matcher's cumulative memo-miss and prover-search counters so
-	// per-callsite deltas can be attributed; both are optional client
-	// capabilities discovered by interface assertion (keeping core free of
-	// a client/hsm dependency, same pattern as sampleProgress).
+	// Source-attribution profiler (nil when Options.Profiler is nil): a
+	// private counter lane merged into Options.Profiler once, after
+	// convergence. profMemo/profProver expose the matcher's cumulative
+	// memo-miss and prover-search counters so per-callsite deltas can be
+	// attributed; both are optional client capabilities discovered by
+	// interface assertion (keeping core free of a client/hsm dependency,
+	// same pattern as sampleProgress).
 	prof       *prof.Lanes
 	profMemo   *MatchMemo
 	profProver func() (searches, ns int64)
 }
 
-func (e *engine) shard(id uint64) *tableShard { return &e.shards[id&e.shardMask] }
-
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
 
-// span opens a phase span on this engine's trace lane (tid 0 is the
-// sequential engine / driver goroutine; parallel workers use 1..Workers).
-// Free when Options.Tracer is nil.
-func (e *engine) span(tid int, ph obs.Phase, key string) obs.Span {
-	return e.opts.Tracer.Begin(e.opts.TracePID, tid, ph, key)
+// span opens a phase span on this analysis's trace lane (tid 0). Free when
+// Options.Tracer is nil.
+func (e *engine) span(ph obs.Phase, key string) obs.Span {
+	return e.opts.Tracer.Begin(e.opts.TracePID, 0, ph, key)
 }
 
 // profNow reads the clock only when profiling is on; the zero time is the
@@ -418,11 +358,11 @@ func (e *engine) profNow() time.Time {
 }
 
 // profStep records one step event against node on the caller's lane.
-func (e *engine) profStep(tid, node int, t0 time.Time, spawned int) {
+func (e *engine) profStep(node int, t0 time.Time, spawned int) {
 	if e.prof == nil {
 		return
 	}
-	e.prof.Step(tid, node, time.Since(t0).Nanoseconds(), spawned)
+	e.prof.Step(0, node, time.Since(t0).Nanoseconds(), spawned)
 }
 
 // matchProbe captures the matcher-shared counters around one Matcher call
@@ -450,7 +390,7 @@ func (e *engine) profMatchStart() matchProbe {
 	return pr
 }
 
-func (e *engine) profMatchEnd(tid, node int, pr matchProbe, matched bool) {
+func (e *engine) profMatchEnd(node int, pr matchProbe, matched bool) {
 	if e.prof == nil {
 		return
 	}
@@ -463,7 +403,7 @@ func (e *engine) profMatchEnd(tid, node int, pr matchProbe, matched bool) {
 		s, n := e.profProver()
 		searches, proverNs = s-pr.searches, n-pr.proverNs
 	}
-	e.prof.Match(tid, node, ns, misses, searches, proverNs, matched)
+	e.prof.Match(0, node, ns, misses, searches, proverNs, matched)
 }
 
 // blameNode picks a deterministic attribution node for combine events:
@@ -490,7 +430,7 @@ func blameNode(st *State) int {
 	return 0
 }
 
-// Analyze runs the parallel dataflow analysis over the program's CFG.
+// Analyze runs the pCFG dataflow analysis over the program's CFG.
 func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	if opts.Matcher == nil {
 		return nil, fmt.Errorf("core: Options.Matcher is required")
@@ -499,56 +439,19 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Schedule == "" && opts.workers() > 1 {
-		// State-derived revision counters make every schedule
-		// equivalence-safe (the converged result is interleaving- and
-		// order-independent by construction), so the parallel engine is free
-		// to default to the depth-first order: it reaches each
-		// configuration's widest pending state soonest, which shortens the
-		// realized revision chains and lets the coalescing scheduler absorb
-		// the most stale traffic. Sequential runs keep FIFO — the classic
-		// worklist order the paper's step counts are quoted against.
-		schedule = ScheduleLIFO
-	}
-	if opts.JoinVisits == 0 && opts.workers() > 1 {
-		// The parallel engine's revision chains are built from coalesced
-		// deliveries: one revision reaching a table entry is the join of
-		// every successor produced since the entry was last stepped, so a
-		// single chain link carries what the sequential engine spreads over
-		// roughly frontier-width many links. Counting the sequential default
-		// of 12 links before the widen rung therefore over-delays widening
-		// by about that factor; three coalesced joins carry the same
-		// information. Two is too few: on the stencil workloads the
-		// parametric range widening (atom-intersection failure minting a
-		// fresh bound parameter) can then fire before enough lineages have
-		// joined, and while the rung itself is order-independent, the chain
-		// *content* at rung time is not — a 300-iteration race-detector
-		// sweep showed rare spurious ⊤ verdicts at 2 and none at 3. The
-		// rung is still a pure function of the joined states (arrival order
-		// cannot move it), and the equivalence and arrival-order stress
-		// suites hold the converged results byte-identical to the
-		// sequential engine's across every workload and worker count.
-		opts.JoinVisits = parallelJoinVisits
-	}
 	e := &engine{
 		g:       g,
 		opts:    opts,
 		in:      newInterner(),
-		shards:  make([]tableShard, opts.shardCount()),
+		table:   map[uint64]*tableEntry{},
 		inv:     NewInvariants(),
 		res:     &Result{},
-		visited: make([]atomic.Bool, len(g.Nodes)),
+		visited: make([]bool, len(g.Nodes)),
 		obsSeen: map[string]bool{},
 		started: time.Now(),
 	}
-	e.shardMask = uint64(len(e.shards) - 1)
-	for i := range e.shards {
-		e.shards[i].m = map[uint64]*tableEntry{}
-	}
 	if opts.Profiler != nil {
-		// opts.workers() is an upper bound: runParallel may clamp the
-		// worker count to GOMAXPROCS, which only leaves lanes idle.
-		e.prof = opts.Profiler.NewLanes(opts.workers(), len(g.Nodes))
+		e.prof = opts.Profiler.NewLanes(0, len(g.Nodes))
 		if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
 			e.profMemo = mp.Memo()
 		}
@@ -572,23 +475,19 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	e.normalize(init)
 	e.logStart(schedule)
 	wd := e.armWatchdog()
-	if opts.workers() > 1 {
-		e.runParallel(init, schedule)
-	} else {
-		e.runSequential(init, schedule)
-	}
+	e.withProfileLabels("fixpoint", func() { e.run(init, schedule) })
 	e.settleWatchdog(wd)
-	if e.budgetHit.Load() {
+	if e.budgetHit {
 		if lg := e.opts.Log; lg != nil {
 			lg.Error("analysis aborted: step budget exhausted",
 				"job", e.opts.TracePID, "name", e.jobLabel(), "max_steps", opts.maxSteps())
 		}
 		e.dumpFlight("step-budget")
 	}
-	e.withProfileLabels("finish", -1, e.finish)
+	e.withProfileLabels("finish", e.finish)
 	e.finishProgress()
-	// Lanes are quiescent here (workers joined, finish post-pass done), so
-	// the merge reads them without synchronization.
+	// The lane is quiescent here (fixpoint and finish post-pass done), so
+	// the merge reads it without synchronization.
 	opts.Profiler.Commit(g, e.prof)
 	e.logDone()
 	if opts.Metrics != nil {
@@ -597,29 +496,28 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	return e.res, nil
 }
 
-// runSequential is the single-goroutine fixpoint loop: pop an id, step the
-// table state, insert the successors. With the FIFO queue it visits
-// configurations in exactly the order the classic string-keyed worklist
-// did (ids are assigned densely in first-insert order).
-func (e *engine) runSequential(init *State, schedule string) {
-	e.queue = newQueue(schedule, e.in)
+// run is the fixpoint loop: pop an id, step the table state, insert the
+// successors. With the FIFO queue it visits configurations in exactly the
+// order the classic string-keyed worklist did (ids are assigned densely in
+// first-insert order).
+func (e *engine) run(init *State, schedule string) {
+	e.queue = newQueue(schedule)
 	e.inWork = map[uint64]bool{}
-	// The sequential queue is driver-goroutine-private, so the sampler
-	// exposes only the race-safe counters (steps, configs, ladder); the
-	// queue-depth fields stay zero on this path.
-	e.registerProgress(false)
-	e.insert("", init, "start", 0)
+	// The queue is private to this goroutine, so the sampler exposes only
+	// the race-safe counters (steps, configs, ladder).
+	e.registerProgress()
+	e.insert("", init, "start")
 	for {
 		id, ok := e.queue.pop()
 		if !ok {
 			break
 		}
 		if int(e.steps.Load()) >= e.opts.maxSteps() {
-			e.budgetHit.Store(true)
+			e.budgetHit = true
 			break
 		}
 		e.inWork[id] = false
-		entry := e.shard(id).m[id]
+		entry := e.table[id]
 		if entry == nil {
 			continue
 		}
@@ -630,14 +528,14 @@ func (e *engine) runSequential(init *State, schedule string) {
 		e.steps.Add(1)
 		key := e.in.keyOf(id)
 		e.rec().Record("step", e.opts.TracePID, 0, key, "")
-		sp := e.span(0, obs.PhaseStep, key)
+		sp := e.span(obs.PhaseStep, key)
 		var tops []succ
-		for _, sa := range e.step(st, 0, key) {
+		for _, sa := range e.step(st, key) {
 			if sa.st.Top {
 				tops = append(tops, sa)
 				continue
 			}
-			e.insert(key, sa.st, sa.action, 0)
+			e.insert(key, sa.st, sa.action)
 		}
 		entry.stuckTops = tops
 		sp.End()
@@ -645,30 +543,25 @@ func (e *engine) runSequential(init *State, schedule string) {
 }
 
 // finish derives the result from the converged table: a deterministic
-// post-pass shared by the sequential and parallel engines. Terminal
-// configurations are classified by inspection (an entry widened after
-// first being visited keeps its shape, so all-at-exit and Top are stable
-// properties of the final entry), helper parameters are resolved, and
-// every output slice is sorted by content so the result is independent of
-// table iteration and — in the parallel case — worker interleaving.
+// post-pass. Terminal configurations are classified by inspection (an
+// entry widened after first being visited keeps its shape, so all-at-exit
+// and Top are stable properties of the final entry), helper parameters are
+// resolved, and the terminal and match slices are sorted by content so the
+// result is independent of table iteration order.
 func (e *engine) finish() {
-	sp := e.span(0, obs.PhaseFinish, "")
+	sp := e.span(obs.PhaseFinish, "")
 	defer sp.End()
-	gsp := e.span(0, obs.PhaseGiveupCommit, "")
+	gsp := e.span(obs.PhaseGiveupCommit, "")
 	e.commitStuckTops()
 	gsp.End()
-	configs := 0
-	for si := range e.shards {
-		configs += len(e.shards[si].m)
-		for _, entry := range e.shards[si].m {
-			if entry.st.Top {
-				e.res.Tops = append(e.res.Tops, entry.st)
-			} else if e.allAtExit(entry.st) {
-				e.res.Finals = append(e.res.Finals, entry.st)
-			}
+	for _, entry := range e.table {
+		if entry.st.Top {
+			e.res.Tops = append(e.res.Tops, entry.st)
+		} else if e.allAtExit(entry.st) {
+			e.res.Finals = append(e.res.Finals, entry.st)
 		}
 	}
-	if e.budgetHit.Load() {
+	if e.budgetHit {
 		e.res.Tops = append(e.res.Tops, &State{Top: true, TopWhy: "step budget exhausted"})
 	}
 	// Certify each final before publishing it: every match witness class
@@ -694,13 +587,10 @@ func (e *engine) finish() {
 	e.res.Finals = finals
 	sort.Slice(e.res.Finals, func(i, j int) bool { return e.res.Finals[i].FullKey() < e.res.Finals[j].FullKey() })
 	sort.Slice(e.res.Tops, func(i, j int) bool { return e.res.Tops[i].TopWhy < e.res.Tops[j].TopWhy })
-	e.res.Configs = configs
+	e.res.Configs = len(e.table)
 	e.res.Steps = int(e.steps.Load())
 	e.res.Widenings = int(e.widenings.Load())
-	e.res.Visited = make([]bool, len(e.visited))
-	for i := range e.visited {
-		e.res.Visited[i] = e.visited[i].Load()
-	}
+	e.res.Visited = e.visited
 	sort.Slice(e.res.CommBounds, func(i, j int) bool {
 		a, b := e.res.CommBounds[i], e.res.CommBounds[j]
 		if a.Node != b.Node {
@@ -717,30 +607,6 @@ func (e *engine) finish() {
 		}
 		return a.Detail < b.Detail
 	})
-	if e.parallel {
-		// Edge and print discovery order depends on the interleaving; sort
-		// for run-to-run stability.
-		sort.Slice(e.res.Edges, func(i, j int) bool {
-			a, b := e.res.Edges[i], e.res.Edges[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.Action < b.Action
-		})
-		sort.Slice(e.res.Prints, func(i, j int) bool {
-			a, b := e.res.Prints[i], e.res.Prints[j]
-			if a.Node != b.Node {
-				return a.Node < b.Node
-			}
-			if a.Range != b.Range {
-				return a.Range < b.Range
-			}
-			return a.Val < b.Val
-		})
-	}
 	e.collectMatches()
 }
 
@@ -748,20 +614,17 @@ func (e *engine) finish() {
 // entries into the table. During the run a ⊤ successor is only recorded on
 // its source entry (tableEntry.stuckTops), so it becomes real only if the
 // source's final converged version still produces it. Sources are ordered
-// by shape key — not by interned id, which in the parallel engine depends
-// on the interleaving — so the surviving ⊤ state (all ⊤ states share the
-// one "TOP" table key) is deterministic.
+// by shape key, not by table iteration order, so the surviving ⊤ state
+// (all ⊤ states share the one "TOP" table key) is deterministic.
 func (e *engine) commitStuckTops() {
 	type stuckSrc struct {
 		fromKey string
 		succs   []succ
 	}
 	var srcs []stuckSrc
-	for si := range e.shards {
-		for id, entry := range e.shards[si].m {
-			if len(entry.stuckTops) > 0 {
-				srcs = append(srcs, stuckSrc{e.in.keyOf(id), entry.stuckTops})
-			}
+	for id, entry := range e.table {
+		if len(entry.stuckTops) > 0 {
+			srcs = append(srcs, stuckSrc{e.in.keyOf(id), entry.stuckTops})
 		}
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i].fromKey < srcs[j].fromKey })
@@ -773,8 +636,8 @@ func (e *engine) commitStuckTops() {
 			key := sa.st.ShapeKey()
 			e.recordEdge(s.fromKey, key, sa.action)
 			id := e.in.intern(key)
-			if sh := e.shard(id); sh.m[id] == nil {
-				sh.m[id] = &tableEntry{st: sa.st}
+			if e.table[id] == nil {
+				e.table[id] = &tableEntry{st: sa.st}
 				e.giveUps.Add(1)
 				e.prof.GiveUp(0, sa.st.TopNode)
 				e.rec().Record("giveup", e.opts.TracePID, 0, key, "stuck: "+sa.action)
@@ -842,9 +705,7 @@ func (e *engine) collectMatches() {
 
 func (e *engine) tracef(format string, args ...any) {
 	if e.opts.Trace != nil {
-		e.resMu.Lock()
 		fmt.Fprintf(e.opts.Trace, format+"\n", args...)
-		e.resMu.Unlock()
 	}
 }
 
@@ -892,8 +753,8 @@ type succ struct {
 }
 
 // insert merges a successor configuration into the table, joining/widening
-// on revisit, and schedules it (sequential path).
-func (e *engine) insert(fromKey string, st *State, action string, tid int) {
+// on revisit, and schedules it.
+func (e *engine) insert(fromKey string, st *State, action string) {
 	if !st.Top && len(st.Sets) == 0 {
 		// Unreachable configuration (inconsistent constraints): drop.
 		st.Release()
@@ -904,19 +765,18 @@ func (e *engine) insert(fromKey string, st *State, action string, tid int) {
 	if e.opts.onRevision != nil {
 		e.opts.onRevision(key, st.Clone())
 	}
-	sp := e.span(tid, obs.PhaseInsert, key)
+	sp := e.span(obs.PhaseInsert, key)
 	defer sp.End()
 	e.recordEdge(fromKey, key, action)
 	id := e.in.intern(key)
-	sh := e.shard(id)
-	entry := sh.m[id]
+	entry := e.table[id]
 	if entry == nil {
-		sh.m[id] = &tableEntry{st: st}
+		e.table[id] = &tableEntry{st: st}
 		e.push(id)
 		e.tracef("new    %-40s %s", key, st)
 		return
 	}
-	if e.reviseEntry(entry, st, key, tid) {
+	if e.reviseEntry(entry, st, key) {
 		e.push(id)
 	}
 }
@@ -929,13 +789,9 @@ func (e *engine) insert(fromKey string, st *State, action string, tid int) {
 // snapshot whose successors the entry already absorbed) leaves the ladder
 // untouched. That makes join→widen escalation and the give-up threshold a
 // pure function of the sequence of distinct entry states — identical for
-// any revision arrival order — so the sequential and parallel engines
-// share one counting rule with no interleaving-dependent carve-outs. In
-// the parallel engine the caller holds the entry's shard lock; concurrent
-// snapshot holders of the previous entry state are protected by
-// copy-on-write (the revision never writes storage shared with a clone in
-// place).
-func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) bool {
+// any revision arrival order (TestRevisionOrderPermutations holds the
+// engine to this).
+func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	if entry.st.Top {
 		// ⊤ absorbs every revision; nothing to count, nothing to reschedule.
 		st.Release()
@@ -969,9 +825,9 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
 	// reorder entry.st.Sets between AlignTo and combine.
-	e.prof.Combine(tid, blameNode(entry.st), combinePhase == obs.PhaseWiden)
-	csp := e.span(tid, combinePhase, key)
-	widened := e.combine(entry, st, tid)
+	e.prof.Combine(0, blameNode(entry.st), combinePhase == obs.PhaseWiden)
+	csp := e.span(combinePhase, key)
+	widened := e.combine(entry, st)
 	csp.End()
 	if widened.Top {
 		if widened.TopKey == "" {
@@ -1004,11 +860,11 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
 		e.giveUps.Add(1)
-		e.rec().Record("giveup", e.opts.TracePID, tid, key, "widening did not converge")
+		e.rec().Record("giveup", e.opts.TracePID, 0, key, "widening did not converge")
 		old := entry.st
 		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
 			TopNode: firstActiveNode(old), TopKey: key}
-		e.prof.GiveUp(tid, entry.st.TopNode)
+		e.prof.GiveUp(0, entry.st.TopNode)
 		old.Release()
 		widened.Release()
 		st.Release()
@@ -1026,22 +882,18 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string, tid int) 
 
 func (e *engine) push(id uint64) {
 	if e.inWork[id] {
-		e.stats().AddSchedCoalesced(1)
 		return
 	}
 	e.inWork[id] = true
 	e.queue.push(id)
-	if d := e.queue.size(); d > e.seqDepthHW {
-		e.seqDepthHW = d
+	if d := e.queue.size(); d > e.depthHW {
+		e.depthHW = d
 	}
 }
 
-// recordEdge appends an explored pCFG edge (res.Edges is shared across
-// workers in the parallel engine).
+// recordEdge appends an explored pCFG edge.
 func (e *engine) recordEdge(from, to, action string) {
-	e.resMu.Lock()
 	e.res.Edges = append(e.res.Edges, PCFGEdge{From: from, To: to, Action: action})
-	e.resMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,13 +901,12 @@ func (e *engine) recordEdge(from, to, action string) {
 
 type nodePair struct{ s, r int }
 
-// combine merges incoming state nw into the table entry's state. tid
-// identifies the caller's profiler lane only.
-func (e *engine) combine(entry *tableEntry, nw *State, tid int) *State {
-	return e.combineRetry(entry, nw, 4, tid)
+// combine merges incoming state nw into the table entry's state.
+func (e *engine) combine(entry *tableEntry, nw *State) *State {
+	return e.combineRetry(entry, nw, 4)
 }
 
-func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int, tid int) *State {
+func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State {
 	old := entry.st
 	old.EnrichEverywhere()
 	nw.EnrichEverywhere()
@@ -1221,14 +1072,14 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int, tid int
 				} else if len(detail) > 0 {
 					fb = detail[0]
 				}
-				e.prof.WidenFail(tid, pnode, fa, fb)
+				e.prof.WidenFail(0, pnode, fa, fb)
 			}
 			return &State{Top: true, TopWhy: "widening failed: no common bound expressions: " + strings.Join(detail, "; "),
 				TopNode: blame}
 		}
 		// Retry after parametric generalization. nw2 is an intermediate
 		// trial state; the recursion only reads it.
-		res := e.combineRetry(entry, nw2, retries-1, tid)
+		res := e.combineRetry(entry, nw2, retries-1)
 		nw2.Release()
 		return res
 	}
@@ -1255,9 +1106,8 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int, tid int
 		// Textbook widening form: old ∇ (old ⊔ nw), never old ∇ nw. Widening
 		// directly against the incoming graph drops every bound of old the
 		// newcomer happens not to entail — so a stale or narrow delivery
-		// (routine under parallel re-step churn) could erase constraints a
-		// join would have kept, making the widened state depend on which
-		// revision reached the widen rung first. Widening against the join
+		// could erase constraints a join would have kept, making the widened
+		// state depend on which revision reached the widen rung first. Widening against the join
 		// only discards bounds the newcomer genuinely outgrew.
 		joined := cg.Join(old.G, nw.G)
 		out.G = cg.Widen(old.G, joined)
@@ -1429,7 +1279,8 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 			return nil, false
 		}
 		entry.paramMints++
-		k := fmt.Sprintf("wp%d", e.nParam.Add(1)-1)
+		k := fmt.Sprintf("wp%d", e.nParam)
+		e.nParam++
 		entry.widenParam = k
 		old.G.AddEq(k, vOld, cOld)
 		trial.G.AddEq(k, vNew, cNew)
@@ -1595,9 +1446,9 @@ func advancesBy(a, b procset.Bound, delta int64) bool {
 // ---------------------------------------------------------------------------
 // Propagate: one analysis step (Fig 4's propagate)
 
-// step computes the successor configurations of st. tid and key identify
-// the worker lane and configuration for phase tracing only.
-func (e *engine) step(st *State, tid int, key string) []succ {
+// step computes the successor configurations of st. key identifies the
+// configuration for phase tracing only.
+func (e *engine) step(st *State, key string) []succ {
 	// 1. An unblocked set at a sequential node advances (transfer function).
 	st.sortCanonical()
 	for _, ps := range st.Sets {
@@ -1606,26 +1457,26 @@ func (e *engine) step(st *State, tid int, key string) []succ {
 		}
 		if ps.Node.IsComm() {
 			if e.opts.NonBlockingSends && ps.Node.Kind == cfg.Send {
-				sp := e.span(tid, obs.PhaseTransfer, key)
+				sp := e.span(obs.PhaseTransfer, key)
 				t0 := e.profNow()
 				out := e.issueSendStep(st, ps.ID)
-				e.profStep(tid, ps.Node.ID, t0, len(out))
+				e.profStep(ps.Node.ID, t0, len(out))
 				sp.End()
 				return out
 			}
 			continue
 		}
-		sp := e.span(tid, obs.PhaseTransfer, key)
+		sp := e.span(obs.PhaseTransfer, key)
 		t0 := e.profNow()
 		out := e.advanceSet(st, ps.ID)
-		e.profStep(tid, ps.Node.ID, t0, len(out))
+		e.profStep(ps.Node.ID, t0, len(out))
 		sp.End()
 		return out
 	}
 	t0 := e.profNow()
-	out := e.stepBlocked(st, len(st.Sets)+1, tid, key)
+	out := e.stepBlocked(st, len(st.Sets)+1, key)
 	if e.prof != nil {
-		e.profStep(tid, firstBlockedNode(st), t0, len(out))
+		e.profStep(firstBlockedNode(st), t0, len(out))
 	}
 	return out
 }
@@ -1648,27 +1499,27 @@ func firstBlockedNode(st *State) int {
 // stepBlocked handles a configuration whose sets are all blocked or at
 // exit: matching, self-matching, emptiness case-splits, then ⊤. depth
 // bounds nested emptiness splits.
-func (e *engine) stepBlocked(st *State, depth, tid int, key string) []succ {
-	msp := e.span(tid, obs.PhaseMatch, key)
+func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
+	msp := e.span(obs.PhaseMatch, key)
 	// 2a. Satisfy receives from pending (non-blocking) sends.
-	if s, ok := e.tryPendingMatches(st, tid); ok {
+	if s, ok := e.tryPendingMatches(st); ok {
 		msp.End()
 		return s
 	}
 	// 2b. Match blocked sends to receives.
-	if s, ok := e.tryMatches(st, tid); ok {
+	if s, ok := e.tryMatches(st); ok {
 		msp.End()
 		return s
 	}
 	// 3. Self-matches (permutation exchanges).
-	if s, ok := e.trySelfMatches(st, tid); ok {
+	if s, ok := e.trySelfMatches(st); ok {
 		msp.End()
 		return s
 	}
 	msp.End()
 	// 4. Case-split on possibly-empty blocked sets.
-	ssp := e.span(tid, obs.PhaseSplit, key)
-	if s, ok := e.tryEmptinessSplit(st, depth, tid, key); ok {
+	ssp := e.span(obs.PhaseSplit, key)
+	if s, ok := e.tryEmptinessSplit(st, depth, key); ok {
 		ssp.End()
 		return s
 	}
@@ -1732,8 +1583,6 @@ func (e *engine) recordPrint(ns *State, ps *ProcSet, node *cfg.Node) {
 			}
 		}
 	}
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
 	for _, p := range e.res.Prints {
 		if p == obs {
 			return
@@ -1918,7 +1767,7 @@ func (e *engine) issueSendStep(st *State, id int) []succ {
 
 // tryPendingMatches satisfies a blocked receive from an in-flight pending
 // send, respecting per-channel FIFO order conservatively.
-func (e *engine) tryPendingMatches(st *State, tid int) ([]succ, bool) {
+func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 	for _, r := range st.Sets {
 		if !r.Blocked || r.Node.Kind != cfg.Recv {
 			continue
@@ -1963,7 +1812,7 @@ func (e *engine) tryPendingMatches(st *State, tid int) ([]succ, bool) {
 			if e.prof != nil {
 				// Pending delivery needs no Matcher call; count the match
 				// against the pending send's node with zero probe deltas.
-				e.prof.Match(tid, pm.Pending.Node, 0, 0, 0, 0, true)
+				e.prof.Match(0, pm.Pending.Node, 0, 0, 0, 0, true)
 			}
 			ns.AddMatch(pm.Pending.Node, recvNode.ID, pm.SendersMatched, pm.RecvMatched)
 			advance(nr)
@@ -2006,7 +1855,7 @@ func (e *engine) fifoConflict(st *State, idx int, pm *PendingMatch) bool {
 // tryMatches attempts pairwise send-receive matching in deterministic order;
 // the first success forms the successor (the framework propagates real
 // state only along the matched edge).
-func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
+func (e *engine) tryMatches(st *State) ([]succ, bool) {
 	for _, sender := range st.Sets {
 		if !sender.Blocked || sender.Node.Kind != cfg.Send {
 			continue
@@ -2016,7 +1865,7 @@ func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
 				continue
 			}
 			ns := st.Clone()
-			if out, ok := e.applyPairMatch(ns, ns.Set(sender.ID), ns.Set(receiver.ID), tid); ok {
+			if out, ok := e.applyPairMatch(ns, ns.Set(sender.ID), ns.Set(receiver.ID)); ok {
 				return out, true
 			}
 			ns.Release()
@@ -2032,7 +1881,7 @@ func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
 				continue
 			}
 			ns := st.Clone()
-			if out, ok := e.applySendRecvPair(ns, ns.Set(a.ID), ns.Set(b.ID), tid); ok {
+			if out, ok := e.applySendRecvPair(ns, ns.Set(a.ID), ns.Set(b.ID)); ok {
 				return out, true
 			}
 			ns.Release()
@@ -2042,10 +1891,10 @@ func (e *engine) tryMatches(st *State, tid int) ([]succ, bool) {
 }
 
 // applyPairMatch matches sender's send against receiver's recv.
-func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet, tid int) ([]succ, bool) {
+func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet) ([]succ, bool) {
 	pr := e.profMatchStart()
 	plan, ok := e.opts.Matcher.Match(ns, sender, sender.Node.Dest, receiver, receiver.Node.Src)
-	e.profMatchEnd(tid, sender.Node.ID, pr, ok)
+	e.profMatchEnd(sender.Node.ID, pr, ok)
 	if !ok {
 		return nil, false
 	}
@@ -2067,16 +1916,16 @@ func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet, tid int) (
 
 // applySendRecvPair matches two sets blocked on sendrecv against each other
 // in both directions; both directions must agree on whole-set matches.
-func (e *engine) applySendRecvPair(ns *State, a, b *ProcSet, tid int) ([]succ, bool) {
+func (e *engine) applySendRecvPair(ns *State, a, b *ProcSet) ([]succ, bool) {
 	pr := e.profMatchStart()
 	planAB, ok := e.opts.Matcher.Match(ns, a, a.Node.Dest, b, b.Node.Src)
-	e.profMatchEnd(tid, a.Node.ID, pr, ok)
+	e.profMatchEnd(a.Node.ID, pr, ok)
 	if !ok || len(planAB.SenderRests) > 0 || len(planAB.RecvRests) > 0 {
 		return nil, false
 	}
 	pr = e.profMatchStart()
 	planBA, ok := e.opts.Matcher.Match(ns, b, b.Node.Dest, a, a.Node.Src)
-	e.profMatchEnd(tid, b.Node.ID, pr, ok)
+	e.profMatchEnd(b.Node.ID, pr, ok)
 	if !ok || len(planBA.SenderRests) > 0 || len(planBA.RecvRests) > 0 {
 		return nil, false
 	}
@@ -2126,14 +1975,14 @@ func (e *engine) propagateValue(ns *State, sender *ProcSet, senderRange procset.
 // markVisited records that some non-empty process set reached a CFG node.
 func (e *engine) markVisited(id int) {
 	if id >= 0 && id < len(e.visited) {
-		e.visited[id].Store(true)
+		e.visited[id] = true
 	}
 }
 
 // trySelfMatches looks for a set blocked at a send (or sendrecv) whose own
 // subsequent receive completes a whole-set permutation exchange — the
 // paper's transpose pattern (Section VIII-B), justified by eager buffering.
-func (e *engine) trySelfMatches(st *State, tid int) ([]succ, bool) {
+func (e *engine) trySelfMatches(st *State) ([]succ, bool) {
 	for _, ps := range st.Sets {
 		if !ps.Blocked {
 			continue
@@ -2142,7 +1991,7 @@ func (e *engine) trySelfMatches(st *State, tid int) ([]succ, bool) {
 		case cfg.SendRecv:
 			pr := e.profMatchStart()
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, ps.Node.Src)
-			e.profMatchEnd(tid, ps.Node.ID, pr, ok)
+			e.profMatchEnd(ps.Node.ID, pr, ok)
 			if ok {
 				ns := st.Clone()
 				nps := ns.Set(ps.ID)
@@ -2160,7 +2009,7 @@ func (e *engine) trySelfMatches(st *State, tid int) ([]succ, bool) {
 			}
 			pr := e.profMatchStart()
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, recvNode.Src)
-			e.profMatchEnd(tid, ps.Node.ID, pr, ok)
+			e.profMatchEnd(ps.Node.ID, pr, ok)
 			if !ok {
 				continue
 			}
@@ -2220,7 +2069,7 @@ func straightLineRecv(send *cfg.Node) (*cfg.Node, []*cfg.Node) {
 // the other assumes it non-empty and immediately continues the blocked-step
 // logic under that assumption (so the extra fact is not lost by folding
 // back into the same pCFG node).
-func (e *engine) tryEmptinessSplit(st *State, depth, tid int, key string) ([]succ, bool) {
+func (e *engine) tryEmptinessSplit(st *State, depth int, key string) ([]succ, bool) {
 	if depth <= 0 {
 		return nil, false
 	}
@@ -2247,7 +2096,7 @@ func (e *engine) tryEmptinessSplit(st *State, depth, tid int, key string) ([]suc
 		nonEmpty.G.AddLE(lbv, ubv, ubc-lbc)
 		e.normalize(nonEmpty)
 		out := []succ{{emptySt, fmt.Sprintf("assume %s empty", ps.Range)}}
-		out = append(out, e.stepBlocked(nonEmpty, depth-1, tid, key)...)
+		out = append(out, e.stepBlocked(nonEmpty, depth-1, key)...)
 		// stepBlocked clones for every successor it returns; the inline
 		// continuation state itself is dead.
 		nonEmpty.Release()

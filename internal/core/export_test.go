@@ -49,11 +49,9 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 		res:     &Result{},
 		obsSeen: map[string]bool{},
 	}
-	e.shards = make([]tableShard, 1)
-	e.shards[0].m = map[uint64]*tableEntry{}
 	entry := &tableEntry{st: states[0].Clone()}
 	for _, st := range states[1:] {
-		e.reviseEntry(entry, st.Clone(), key, 0)
+		e.reviseEntry(entry, st.Clone(), key)
 	}
 	resolved := entry.st.Clone()
 	resolved.ResolveHelpers()

@@ -79,107 +79,3 @@ func TestLIFOQueue(t *testing.T) {
 		}
 	}
 }
-
-func TestShapeQueuePopsSmallestKey(t *testing.T) {
-	in := newInterner()
-	q := &shapeQueue{keyOf: in.keyOf}
-	ids := []uint64{in.intern("m"), in.intern("a"), in.intern("z"), in.intern("b")}
-	for _, id := range ids {
-		q.push(id)
-	}
-	var got []string
-	for {
-		id, ok := q.pop()
-		if !ok {
-			break
-		}
-		got = append(got, in.keyOf(id))
-	}
-	want := "a,b,m,z"
-	if joined := joinStrings(got); joined != want {
-		t.Fatalf("pop order = %s, want %s", joined, want)
-	}
-}
-
-func joinStrings(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
-}
-
-func TestSchedulerCoalescesAndTerminates(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 4, nil)
-	s.push(1)
-	s.push(1) // coalesced: still queued
-	id, ok := s.pop(0)
-	if !ok || id != 1 {
-		t.Fatalf("pop = %d,%v", id, ok)
-	}
-	s.push(1) // running: marks dirty
-	s.done(1) // dirty: requeued
-	id, ok = s.pop(0)
-	if !ok || id != 1 {
-		t.Fatalf("requeue pop = %d,%v", id, ok)
-	}
-	s.done(1)
-	if _, ok := s.pop(0); ok {
-		t.Fatal("pop after fixpoint should report done")
-	}
-}
-
-func TestSchedulerStealsAcrossShards(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 4, nil)
-	// ids 1,2,3 land on shards 1,2,3; a worker homed on shard 0 must steal
-	// all of them, then observe the fixpoint.
-	s.pushShard(1, []uint64{1})
-	s.pushShard(2, []uint64{2})
-	s.pushShard(3, []uint64{3})
-	seen := map[uint64]bool{}
-	for i := 0; i < 3; i++ {
-		id, ok := s.pop(0)
-		if !ok {
-			t.Fatalf("pop %d failed", i)
-		}
-		seen[id] = true
-		s.done(id)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("stole %d distinct ids, want 3", len(seen))
-	}
-	if _, ok := s.pop(0); ok {
-		t.Fatal("pop after fixpoint should report done")
-	}
-}
-
-func TestSchedulerBatchPush(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 2, nil)
-	// One batch of same-shard ids (shard 0 owns even ids with mask 1).
-	s.pushShard(0, []uint64{0, 2, 4, 2}) // duplicate 2 coalesces
-	if got := s.liveDepth(); got != 3 {
-		t.Fatalf("liveDepth = %d, want 3", got)
-	}
-	for i := 0; i < 3; i++ {
-		id, ok := s.pop(0)
-		if !ok || id%2 != 0 {
-			t.Fatalf("pop %d = %d,%v", i, id, ok)
-		}
-		s.done(id)
-	}
-	if _, ok := s.pop(0); ok {
-		t.Fatal("pop after fixpoint should report done")
-	}
-}
-
-func TestSchedulerStop(t *testing.T) {
-	s := newScheduler(ScheduleFIFO, nil, 4, nil)
-	s.push(7)
-	s.stop()
-	if _, ok := s.pop(0); ok {
-		t.Fatal("pop after stop should fail")
-	}
-}

@@ -41,14 +41,11 @@ func (e *engine) progressCount() int64 {
 }
 
 // sampleProgress builds a point-in-time progress snapshot. Safe to call
-// from any goroutine: everything it reads is atomic, mutex-protected, or
-// read under a brief shard lock. parallel tells it whether the scheduler
-// exists (captured at registration time, before the sampler is published).
-func (e *engine) sampleProgress(parallel bool) obs.Progress {
+// from any goroutine: everything it reads is atomic or mutex-protected.
+func (e *engine) sampleProgress() obs.Progress {
 	p := obs.Progress{
 		Job:       e.opts.TracePID,
 		Name:      e.opts.Name,
-		Workers:   e.opts.workers(),
 		Steps:     e.steps.Load(),
 		Configs:   int64(e.in.size()),
 		Widenings: e.widenings.Load(),
@@ -57,8 +54,6 @@ func (e *engine) sampleProgress(parallel bool) obs.Progress {
 	}
 	if s := e.stats(); s != nil {
 		p.Joins = s.Joins()
-		p.Steals = s.SchedSteals()
-		p.Coalesced = s.SchedCoalesced()
 	}
 	if mp, ok := e.opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
 		if memo := mp.Memo(); memo != nil {
@@ -76,25 +71,17 @@ func (e *engine) sampleProgress(parallel bool) obs.Progress {
 		p.ProverSearches = pp.ProverSearches()
 		p.ProverNs = pp.ProverSearchNs()
 	}
-	if parallel {
-		p.Pending = int64(e.sched.livePending())
-		p.Queued = int64(e.sched.liveDepth())
-		p.ShardQueued = e.sched.shardDepths()
-	}
 	return p
 }
 
 // registerProgress publishes this analysis's live sampler on the tracker.
-// Called from the driver goroutine after the engine's run-mode state
-// (scheduler, shards) is fully constructed, so the sampler never observes
-// a half-built engine.
-func (e *engine) registerProgress(parallel bool) {
+// Called once the engine is fully constructed, so the sampler never
+// observes a half-built engine.
+func (e *engine) registerProgress() {
 	if e.opts.Progress == nil {
 		return
 	}
-	e.opts.Progress.Register(e.opts.TracePID, func() obs.Progress {
-		return e.sampleProgress(parallel)
-	})
+	e.opts.Progress.Register(e.opts.TracePID, e.sampleProgress)
 }
 
 // finishProgress replaces the live sampler with the final snapshot (the
@@ -103,15 +90,12 @@ func (e *engine) finishProgress() {
 	if e.opts.Progress == nil {
 		return
 	}
-	final := e.sampleProgress(e.parallel)
-	// The run is over: nothing is pending, and the totals are the
-	// result's (finish() has already folded the counters into e.res).
+	final := e.sampleProgress()
+	// The run is over: the totals are the result's (finish() has already
+	// folded the counters into e.res).
 	final.Steps = int64(e.res.Steps)
 	final.Configs = int64(e.res.Configs)
 	final.Widenings = int64(e.res.Widenings)
-	final.Pending = 0
-	final.Queued = 0
-	final.ShardQueued = nil
 	e.opts.Progress.Finish(e.opts.TracePID, final)
 }
 
@@ -168,25 +152,21 @@ func (e *engine) dumpFlight(reason string) {
 }
 
 // withProfileLabels runs fn under pprof goroutine labels when
-// Options.ProfileLabels is set; otherwise it calls fn directly. worker -1
-// omits the worker label (driver-goroutine phases).
-func (e *engine) withProfileLabels(phase string, worker int, fn func()) {
+// Options.ProfileLabels is set; otherwise it calls fn directly.
+func (e *engine) withProfileLabels(phase string, fn func()) {
 	if !e.opts.ProfileLabels {
 		fn()
 		return
 	}
-	kv := []string{"psdf_job", e.jobLabel(), "psdf_phase", phase}
-	if worker >= 0 {
-		kv = append(kv, "psdf_worker", strconv.Itoa(worker))
-	}
-	pprof.Do(context.Background(), pprof.Labels(kv...), func(context.Context) { fn() })
+	labels := pprof.Labels("psdf_job", e.jobLabel(), "psdf_phase", phase)
+	pprof.Do(context.Background(), labels, func(context.Context) { fn() })
 }
 
 // logStart/logDone are the engine's lifecycle log lines.
 func (e *engine) logStart(schedule string) {
 	if lg := e.opts.Log; lg != nil {
 		lg.Info("analysis started", "job", e.opts.TracePID, "name", e.jobLabel(),
-			"workers", e.opts.workers(), "schedule", schedule, "shards", len(e.shards))
+			"schedule", schedule)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cfg"
-	"repro/internal/cg"
 	"repro/internal/clients/cartesian"
 	"repro/internal/core"
 	"repro/internal/parser"
 )
 
-// signature renders everything the analysis promises to keep
-// interleaving-independent: terminal configurations, give-up reasons, the
-// communication topology and cleanliness.
+// signature renders everything the analysis promises to reproduce run to
+// run: terminal configurations, give-up reasons, the communication
+// topology and cleanliness.
 func signature(res *core.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clean=%v configs=%d\n", res.Clean(), res.Configs)
@@ -56,30 +55,28 @@ func analyzeWith(t *testing.T, g *cfg.Graph, opts core.Options) *core.Result {
 	return res
 }
 
-// TestParallelEquivalenceWorkloads checks that the parallel engine and the
-// alternative schedules produce byte-identical results to the sequential
-// FIFO engine on every paper workload.
+// TestParallelEquivalenceWorkloads runs every paper workload under both
+// worklist schedules as concurrent AnalyzeAll jobs. The FIFO jobs must
+// reproduce the standalone sequential result byte for byte; a LIFO job may
+// converge to a syntactically different (equally sound) final constraint
+// graph, but its cleanliness, give-up set and topology must not move.
 func TestParallelEquivalenceWorkloads(t *testing.T) {
-	for _, w := range bench.All() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			_, g := w.Parse()
-			base := analyzeWith(t, g, core.Options{})
-			want, wantTopo := signature(base), topoSignature(base)
-			for _, workers := range []int{1, 2, 8} {
-				for _, sched := range []string{core.ScheduleFIFO, core.ScheduleLIFO, core.ScheduleShape} {
-					_, g := w.Parse()
-					res := analyzeWith(t, g, core.Options{Workers: workers, Schedule: sched})
-					if sched == core.ScheduleFIFO {
-						if got := signature(res); got != want {
-							t.Errorf("workers=%d schedule=%s diverged:\n got: %s\nwant: %s",
-								workers, sched, got, want)
-						}
-					} else if got := topoSignature(res); got != wantTopo {
-						t.Errorf("workers=%d schedule=%s topology diverged:\n got: %s\nwant: %s",
-							workers, sched, got, wantTopo)
-					}
-				}
+	fifo := workloadPrograms(core.Options{})
+	progs := append(fifo, workloadPrograms(core.Options{Schedule: core.ScheduleLIFO})...)
+	sigs, _, _, _ := concurrentSignatures(t, progs, 4)
+	for i, p := range fifo {
+		i, p := i, p
+		t.Run(p.name, func(t *testing.T) {
+			base := analyzeWith(t, p.parse(), core.Options{})
+			if got, want := sigs[i], signature(base); got != want {
+				t.Errorf("fifo diverged:\n got: %s\nwant: %s", got, want)
+			}
+			lifo := analyzeWith(t, p.parse(), core.Options{Schedule: core.ScheduleLIFO})
+			if got, want := sigs[len(fifo)+i], signature(lifo); got != want {
+				t.Errorf("lifo job diverged from standalone lifo:\n got: %s\nwant: %s", got, want)
+			}
+			if got, want := topoSignature(lifo), topoSignature(base); got != want {
+				t.Errorf("lifo topology diverged:\n got: %s\nwant: %s", got, want)
 			}
 		})
 	}
@@ -87,7 +84,7 @@ func TestParallelEquivalenceWorkloads(t *testing.T) {
 
 // testdataPrograms loads every program under testdata/ with the analysis
 // mode the integration suite uses for it.
-func testdataPrograms(t *testing.T) map[string]core.Options {
+func testdataPrograms(t *testing.T) []program {
 	t.Helper()
 	modes := map[string]core.Options{
 		"sendfirst_shift.mpl": {NonBlockingSends: true},
@@ -96,9 +93,10 @@ func testdataPrograms(t *testing.T) map[string]core.Options {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("testdata glob: %v (%d files)", err, len(files))
 	}
-	out := map[string]core.Options{}
+	var out []program
 	for _, f := range files {
-		out[f] = modes[filepath.Base(f)]
+		f := f
+		out = append(out, program{filepath.Base(f), func() *cfg.Graph { return parseFile(t, f) }, modes[filepath.Base(f)]})
 	}
 	return out
 }
@@ -116,51 +114,26 @@ func parseFile(t *testing.T, path string) *cfg.Graph {
 	return cfg.Build(prog)
 }
 
-// TestParallelEquivalenceTestdata extends the equivalence check to the
-// repository's example programs, including the non-blocking-send mode.
+// TestParallelEquivalenceTestdata extends the job-level equivalence check
+// to the repository's example programs, including the non-blocking-send
+// mode and programs the analysis gives up on.
 func TestParallelEquivalenceTestdata(t *testing.T) {
-	for path, opts := range testdataPrograms(t) {
-		path, opts := path, opts
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			want := signature(analyzeWith(t, parseFile(t, path), opts))
-			for _, workers := range []int{1, 2, 8} {
-				o := opts
-				o.Workers = workers
-				got := signature(analyzeWith(t, parseFile(t, path), o))
-				if got != want {
-					t.Errorf("workers=%d diverged:\n got: %s\nwant: %s", workers, got, want)
-				}
+	progs := testdataPrograms(t)
+	sigs, _, _, _ := concurrentSignatures(t, progs, 4)
+	for i, p := range progs {
+		i, p := i, p
+		t.Run(p.name, func(t *testing.T) {
+			if got, want := sigs[i], signature(analyzeWith(t, p.parse(), p.opts)); got != want {
+				t.Errorf("pooled run diverged:\n got: %s\nwant: %s", got, want)
 			}
 		})
 	}
 }
 
-// TestParallelSmallShards stresses the shard locking: many workers, only
-// two shards, repeated runs. Mainly valuable under -race.
-func TestParallelSmallShards(t *testing.T) {
-	ws := bench.All()
-	for iter := 0; iter < 3; iter++ {
-		for _, w := range ws {
-			_, g := w.Parse()
-			want := signature(analyzeWith(t, g, core.Options{}))
-			_, g = w.Parse()
-			got := signature(analyzeWith(t, g, core.Options{Workers: 8, Shards: 2}))
-			if got != want {
-				t.Fatalf("%s (iter %d) diverged:\n got: %s\nwant: %s", w.Name, iter, got, want)
-			}
-		}
-	}
-}
-
-// TestParallelStatsPlumbed checks the new instrumentation reaches the
-// shared stats record in a parallel run.
+// TestParallelStatsPlumbed checks the key-cache instrumentation reaches a
+// stats record shared by concurrent AnalyzeAll jobs.
 func TestParallelStatsPlumbed(t *testing.T) {
-	_, g := bench.Stencil1D().Parse()
-	stats := &cg.Stats{}
-	res := analyzeWith(t, g, core.Options{Workers: 4, CGOpts: cg.Options{Stats: stats}})
-	if !res.Clean() {
-		t.Fatalf("stencil not clean: %v", res.TopReasons())
-	}
+	_, stats, _, _ := concurrentSignatures(t, workloadPrograms(core.Options{}), 2)
 	if stats.KeyCacheHits()+stats.KeyCacheMisses() == 0 {
 		t.Error("key cache counters never touched")
 	}

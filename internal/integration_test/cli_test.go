@@ -330,3 +330,28 @@ func TestCLIPsdfRunFailOnFindings(t *testing.T) {
 		t.Errorf("psdf-run -analyze findings not printed:\n%s", out)
 	}
 }
+
+// TestCLIFuzzGates: the fuzz gate accepts only the classes the triage can
+// produce. "engine" names no class, so it must be rejected up front with a
+// usage error rather than silently gating on nothing; a small sweep's
+// summary line carries no engine column.
+func TestCLIFuzzGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildTool(t, "psdf")
+	out, err := exec.Command(bin, "fuzz", "-gate", "engine", "-n", "1").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("psdf fuzz -gate engine: want exit 2, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown gate "engine"`) {
+		t.Errorf("psdf fuzz -gate engine: missing unknown-gate error:\n%s", out)
+	}
+	out, err = exec.Command(bin, "fuzz", "-gate", "soundness", "-n", "3").CombinedOutput()
+	if err != nil {
+		t.Fatalf("psdf fuzz -gate soundness: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "fuzz sweep: 3 programs") || strings.Contains(string(out), "engine=") {
+		t.Errorf("unexpected sweep summary:\n%s", out)
+	}
+}

@@ -23,7 +23,7 @@ import (
 type FlightEvent struct {
 	Seq    uint64 `json:"seq"`
 	AtNs   int64  `json:"at_ns"`
-	Kind   string `json:"kind"` // dequeue, step, commit, widen, giveup, stall, dump, ...
+	Kind   string `json:"kind"` // step, giveup, stall, dump, ...
 	Job    int    `json:"job"`
 	Worker int    `json:"worker"`
 	Key    string `json:"key,omitempty"`

@@ -171,7 +171,7 @@ func TestSummarizeMultiLaneCoverage(t *testing.T) {
 		// Two worker lanes, each half covered.
 		mkEvent(PhaseStep, 1, 0, 0, 50*ms, "a"),
 		mkEvent(PhaseStep, 1, 1, 0, 50*ms, "b"),
-		mkEvent(PhaseDequeue, 1, 1, 60*ms, 40*ms, ""),
+		mkEvent(PhaseMatch, 1, 1, 60*ms, 40*ms, ""),
 	}
 	s := Summarize(evs)
 	// Lane (1,0) extent 50ms fully covered; lane (1,1) extent 100ms with

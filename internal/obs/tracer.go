@@ -19,21 +19,18 @@ import (
 )
 
 // Phase identifies one instrumented engine phase. The taxonomy follows the
-// paper's Fig 4 framework loop: configurations are dequeued, stepped
-// (transfer, send-receive matching, emptiness splits), and their successors
-// merged back into the table (join/widen); deferred give-ups commit at
+// paper's Fig 4 framework loop: configurations are stepped (transfer,
+// send-receive matching, emptiness splits), and their successors merged
+// back into the table (join/widen); deferred give-ups commit at
 // convergence, and the HSM prover's heuristic search is attributed
-// separately because it serializes across workers.
+// separately on its own trace lane.
 type Phase uint8
 
 // Instrumented phases.
 const (
-	// PhaseDequeue is time a parallel worker spends popping the scheduler,
-	// including blocking waits for work (idle time).
-	PhaseDequeue Phase = iota
 	// PhaseStep covers one whole propagate step of a configuration
-	// (snapshot + transfer/match/split); the sub-phases nest inside it.
-	PhaseStep
+	// (transfer/match/split); the sub-phases nest inside it.
+	PhaseStep Phase = iota
 	// PhaseTransfer is the client transfer function: advancing an unblocked
 	// process set through a sequential node (including normalization).
 	PhaseTransfer
@@ -52,11 +49,6 @@ const (
 	PhaseJoin
 	// PhaseWiden is the same combine after the ladder switched to widening.
 	PhaseWiden
-	// PhaseCommit is the parallel engine's batched shard-commit critical
-	// section: one table-shard lock acquisition under which a whole step's
-	// successors for that shard are revised and their scheduler pushes
-	// collected. Join and widen spans nest inside it.
-	PhaseCommit
 	// PhaseGiveupCommit is the deferred give-up commit at convergence
 	// (commitStuckTops).
 	PhaseGiveupCommit
@@ -74,8 +66,8 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	"dequeue", "step", "transfer", "match", "split", "insert",
-	"join", "widen", "commit", "giveup-commit", "finish", "prover", "analyze",
+	"step", "transfer", "match", "split", "insert",
+	"join", "widen", "giveup-commit", "finish", "prover", "analyze",
 }
 
 func (p Phase) String() string {

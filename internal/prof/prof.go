@@ -9,14 +9,14 @@
 //   - A *Profiler is the per-analysis aggregator. core.Options.Profiler
 //     carries it into the engine; nil means profiling is off.
 //   - The engine asks the profiler for a *Lanes: one private, dense
-//     []Counters buffer per worker tid, indexed by CFG node ID. Recording
+//     []Counters buffer per lane (tid), indexed by CFG node ID. Recording
 //     is a plain (non-atomic) add into the caller's own lane — each lane
 //     is touched by exactly one goroutine, so there is no contention and
 //     no synchronization on the hot path.
 //   - All recording methods are nil-safe no-ops, so the disabled path is
 //     a single pointer check: 0 allocs/op, proven by
 //     BenchmarkProfilerDisabled (the analogue of BenchmarkTracerDisabled).
-//   - After the run quiesces (workers joined), the engine commits the
+//   - After the run quiesces, the engine commits the
 //     lanes: Commit merges every lane under the profiler's mutex and
 //     resolves node → source span / kind / synthetic from the CFG.
 //
@@ -39,9 +39,8 @@ import (
 // workers after merge; Ns fields are cumulative wall nanoseconds.
 //
 // MatchNs includes the memo lookup; ProverNs is the subset of MatchNs
-// spent inside memo-missing HSM searches (in parallel runs prover time is
-// read from shared matcher counters, so concurrent searches may bleed
-// between callsites — exact when Workers <= 1, approximate otherwise).
+// spent inside memo-missing HSM searches (read as deltas of the matcher's
+// cumulative prover counters around each match call).
 type Counters struct {
 	Steps          int64 `json:"steps,omitempty"`
 	StepNs         int64 `json:"step_ns,omitempty"`
@@ -238,9 +237,9 @@ func New() *Profiler {
 }
 
 // Commit merges every lane of l into the profiler and resolves node
-// metadata from g. The engine calls it once per analysis, after all
-// workers have joined — lanes are quiescent, so reading them unlocked is
-// safe; the profiler's own state is mutex-guarded.
+// metadata from g. The engine calls it once per analysis, after the run —
+// lanes are quiescent, so reading them unlocked is safe; the profiler's
+// own state is mutex-guarded.
 func (p *Profiler) Commit(g *cfg.Graph, l *Lanes) {
 	if p == nil || l == nil {
 		return
