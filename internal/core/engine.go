@@ -348,6 +348,16 @@ func (e *engine) span(ph obs.Phase, key string) obs.Span {
 	return e.opts.Tracer.Begin(e.opts.TracePID, 0, ph, key)
 }
 
+// enrich expands every bound of the given states with constraint-graph
+// equality witnesses, inside one enrich span.
+func (e *engine) enrich(sts ...*State) {
+	sp := e.span(obs.PhaseEnrich, "")
+	for _, st := range sts {
+		st.EnrichEverywhere()
+	}
+	sp.End()
+}
+
 // profNow reads the clock only when profiling is on; the zero time is the
 // disabled sentinel consumed by profStep.
 func (e *engine) profNow() time.Time {
@@ -908,8 +918,7 @@ func (e *engine) combine(entry *tableEntry, nw *State) *State {
 
 func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State {
 	old := entry.st
-	old.EnrichEverywhere()
-	nw.EnrichEverywhere()
+	e.enrich(old, nw)
 
 	// First attempt plain bound-atom intersection on all ranges.
 	widenedSets := make([]procset.Set, len(old.Sets))
@@ -1215,7 +1224,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 			trial := nw.Clone()
 			trial.G.Shift(k, delta)
 			trial.SubstEverywhere(k, sym.VarPlus(k, -delta))
-			trial.EnrichEverywhere()
+			e.enrich(trial)
 			if !e.sameFailure(old, trial) {
 				return trial, true
 			}
@@ -1238,8 +1247,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 				} else {
 					trial.G.AddEq(k, vNew, cNew)
 				}
-				trial.EnrichEverywhere()
-				old.EnrichEverywhere()
+				e.enrich(trial, old)
 				if !e.sameFailure(old, trial) {
 					return trial, true
 				}
@@ -1284,8 +1292,7 @@ func (e *engine) parametricWiden(entry *tableEntry, old, nw *State) (*State, boo
 		entry.widenParam = k
 		old.G.AddEq(k, vOld, cOld)
 		trial.G.AddEq(k, vNew, cNew)
-		old.EnrichEverywhere()
-		trial.EnrichEverywhere()
+		e.enrich(old, trial)
 		if !e.sameFailure(old, trial) {
 			return trial, true
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"regexp"
+	"strings"
 
 	"repro/internal/cg"
 	"repro/internal/procset"
@@ -17,9 +17,27 @@ import (
 // renames them by order of first appearance in the state's canonical
 // rendering, so equivalent states become syntactically equal.
 
-var helperVarRe = regexp.MustCompile(`^(wp|fz|k|f)\d+$`)
-
-func isHelperVar(v string) bool { return helperVarRe.MatchString(v) }
+// isHelperVar reports whether v matches ^(wp|fz|k|f)[0-9]+$.
+func isHelperVar(v string) bool {
+	var n string
+	switch {
+	case strings.HasPrefix(v, "wp"), strings.HasPrefix(v, "fz"):
+		n = v[2:]
+	case strings.HasPrefix(v, "k"), strings.HasPrefix(v, "f"):
+		n = v[1:]
+	default:
+		return false
+	}
+	if n == "" {
+		return false
+	}
+	for i := 0; i < len(n); i++ {
+		if n[i] < '0' || n[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
 
 // CanonicalizeParams renames helper variables to canonical names and drops
 // stale ones from the constraint graph. It returns the applied renaming so
@@ -30,12 +48,22 @@ func (st *State) CanonicalizeParams() map[string]string {
 	st.sortPending()
 	var order []string
 	seen := map[string]bool{}
+	noteVar := func(v string) {
+		if isHelperVar(v) && !seen[v] {
+			seen[v] = true
+			order = append(order, v)
+		}
+	}
 	note := func(e sym.Expr) {
-		for _, v := range e.Vars() {
-			if isHelperVar(v) && !seen[v] {
-				seen[v] = true
-				order = append(order, v)
+		// A var+c atom has at most one variable: skip building Vars' set.
+		if v, _, ok := e.AsVarPlusConst(); ok {
+			if v != "" {
+				noteVar(v)
 			}
+			return
+		}
+		for _, v := range e.Vars() {
+			noteVar(v)
 		}
 	}
 	scanBound := func(b procset.Bound) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -28,11 +29,31 @@ func TestHelperVarDetection(t *testing.T) {
 			t.Errorf("%q not detected as helper", v)
 		}
 	}
-	for _, v := range []string{"np", "nrows", "ps0.i", "kite", "wp", "fzz1", "x"} {
+	for _, v := range []string{"np", "nrows", "ps0.i", "kite", "wp", "fzz1", "x", "", "k", "f", "fz", "k1a", "wp1.", "k-1", "wp0x"} {
 		if isHelperVar(v) {
 			t.Errorf("%q wrongly detected as helper", v)
 		}
 	}
+}
+
+// TestHelperVarMatchesRegexp checks the byte scan against the pattern it
+// replaces on every short name over the relevant alphabet.
+func TestHelperVarMatchesRegexp(t *testing.T) {
+	re := regexp.MustCompile(`^(wp|fz|k|f)[0-9]+$`)
+	alpha := []byte("wpfzk09x.")
+	var walk func(prefix []byte)
+	walk = func(prefix []byte) {
+		if got, want := isHelperVar(string(prefix)), re.Match(prefix); got != want {
+			t.Errorf("isHelperVar(%q) = %v, regexp says %v", prefix, got, want)
+		}
+		if len(prefix) == 4 {
+			return
+		}
+		for _, c := range alpha {
+			walk(append(prefix, c))
+		}
+	}
+	walk(nil)
 }
 
 func TestCanonicalizeParamsRenames(t *testing.T) {

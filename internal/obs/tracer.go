@@ -49,6 +49,11 @@ const (
 	PhaseJoin
 	// PhaseWiden is the same combine after the ladder switched to widening.
 	PhaseWiden
+	// PhaseEnrich is bound enrichment (Section VII-B) inside a combine:
+	// filling every range bound with the constraint graph's equality
+	// witnesses before the atom intersection, including the retries of
+	// parametric widening.
+	PhaseEnrich
 	// PhaseGiveupCommit is the deferred give-up commit at convergence
 	// (commitStuckTops).
 	PhaseGiveupCommit
@@ -67,7 +72,7 @@ const (
 
 var phaseNames = [numPhases]string{
 	"step", "transfer", "match", "split", "insert",
-	"join", "widen", "giveup-commit", "finish", "prover", "analyze",
+	"join", "widen", "enrich", "giveup-commit", "finish", "prover", "analyze",
 }
 
 func (p Phase) String() string {

@@ -138,18 +138,24 @@ func (b Bound) DropUses(name string) Bound {
 }
 
 // Intersect keeps atoms present in both bounds (by key) — the paper's
-// widening of bounds. The result may be invalid (no common atom).
+// widening of bounds. The result may be invalid (no common atom). Both
+// atom lists are sorted by key and deduplicated, so one merge pass finds
+// the common atoms in order.
 func (b Bound) Intersect(o Bound) Bound {
-	out := Bound{}
-	for _, a := range b.atoms {
-		for _, oa := range o.atoms {
-			if a.CompareKey(oa) == 0 {
-				out = out.Insert(a)
-				break
-			}
+	var atoms []sym.Expr
+	for i, j := 0, 0; i < len(b.atoms) && j < len(o.atoms); {
+		switch c := b.atoms[i].CompareKey(o.atoms[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			atoms = append(atoms, b.atoms[i])
+			i++
+			j++
 		}
 	}
-	return out
+	return Bound{atoms: atoms}
 }
 
 func (b Bound) String() string {
@@ -318,12 +324,29 @@ func (ctx Ctx) CoherentSet(s Set) bool {
 }
 
 // Enrich adds to b every var+c expression the context proves equal to it.
+//
+// Each equality class is walked once per bound, not once per atom. An atom
+// that equals a candidate offered from an earlier atom's witnesses is
+// skipped: its class is the earlier atom's, so it would re-offer only
+// candidates already offered and the earlier atom itself. Re-offering is a
+// no-op, because each candidate is present already or was dropped because
+// the bound was full, and a full bound stays full. Atoms whose offsets
+// disagree with the graph (stale witnesses) never equal a candidate, so
+// each still walks its class. For the same reason candidates equal to an
+// atom of b are not inserted, and the walk stops once the bound is full.
 func (ctx Ctx) Enrich(b Bound) Bound {
 	if ctx.G == nil || !b.IsValid() {
 		return b
 	}
 	out := b
-	for _, a := range b.atoms {
+	var covered uint64 // atoms of b offered as candidates; len(b.atoms) <= maxAtoms
+	for i, a := range b.atoms {
+		if len(out.atoms) >= maxAtoms {
+			break // inserting into a full bound is a no-op
+		}
+		if covered&(1<<i) != 0 {
+			continue
+		}
 		v, c, ok := a.AsVarPlusConst()
 		if !ok {
 			continue
@@ -336,11 +359,26 @@ func (ctx Ctx) Enrich(b Bound) Bound {
 			continue
 		}
 		for _, w := range ctx.G.EqualWitnesses(name) {
+			if len(out.atoms) >= maxAtoms {
+				break
+			}
 			// name = w.Var + w.C, so a = name + c = w.Var + w.C + c.
+			var cand sym.Expr
 			if w.Var == cg.ZeroVar {
-				out = out.Insert(sym.Const(w.C + c))
+				cand = sym.Const(w.C + c)
 			} else {
-				out = out.Insert(sym.VarPlus(w.Var, w.C+c))
+				cand = sym.VarPlus(w.Var, w.C+c)
+			}
+			inB := false
+			for j, bj := range b.atoms {
+				if sym.Equal(bj, cand) {
+					covered |= 1 << j
+					inB = true
+					break
+				}
+			}
+			if !inB {
+				out = out.Insert(cand)
 			}
 		}
 	}

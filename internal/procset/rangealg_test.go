@@ -194,3 +194,35 @@ func TestEqBoundAndSameRangeTri(t *testing.T) {
 		t.Errorf("SameRange unknown = %v", got)
 	}
 }
+
+// TestIntersectMergeMatchesScan checks the merge-based Bound.Intersect
+// against a scan of every atom pair, on random bounds up to the cap.
+func TestIntersectMergeMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func() Bound {
+		b := Bound{}
+		for n := r.Intn(maxAtoms + 3); n > 0; n-- {
+			if r.Intn(3) == 0 {
+				b = b.Insert(sym.Const(int64(r.Intn(5))))
+			} else {
+				b = b.Insert(sym.VarPlus(enrichVars[r.Intn(4)], int64(r.Intn(3)-1)))
+			}
+		}
+		return b
+	}
+	for iter := 0; iter < 5000; iter++ {
+		x, y := draw(), draw()
+		want := Bound{}
+		for _, a := range x.atoms {
+			for _, o := range y.atoms {
+				if a.CompareKey(o) == 0 {
+					want = want.Insert(a)
+					break
+				}
+			}
+		}
+		if got := x.Intersect(y); !sameAtoms(got, want) {
+			t.Fatalf("%s ∩ %s = %s, want %s", x.StringAll(), y.StringAll(), got.StringAll(), want.StringAll())
+		}
+	}
+}
