@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,9 +16,11 @@ import (
 	"repro/internal/experiments"
 )
 
-// runBench implements `psdf bench`: the longitudinal regression
-// observability workflow over BENCH_HISTORY.jsonl.
+// runBench implements `psdf bench`: the paper's evaluation tables and the
+// longitudinal regression observability workflow over BENCH_HISTORY.jsonl.
 //
+//	psdf bench run     regenerate the evaluation tables and write one
+//	                   BENCH_<spec>.json record per spec
 //	psdf bench record  measure the experiments registry (N samples per
 //	                   spec) plus the per-workload precision fingerprints
 //	                   and append one commit-anchored entry to the history
@@ -34,6 +37,8 @@ func runBench(args []string) int {
 		return 2
 	}
 	switch args[0] {
+	case "run":
+		return benchRun(args[1:])
 	case "record":
 		return benchRecord(args[1:])
 	case "diff":
@@ -56,6 +61,7 @@ func benchUsage() {
 	fmt.Fprintln(os.Stderr, `usage: psdf bench <subcommand> [flags]
 
 subcommands:
+  run     regenerate the paper's evaluation tables (+ BENCH_<spec>.json)
   record  run the experiments registry -sample times, capture precision
           fingerprints, and append a commit-anchored entry to the history
   diff    statistically compare two history entries
@@ -63,6 +69,68 @@ subcommands:
   report  render the recorded trajectory as markdown
 
 run 'psdf bench <subcommand> -h' for flags`)
+}
+
+// benchRun regenerates the paper's evaluation: every selected experiment
+// prints its paper-vs-measured table and writes a BENCH_<spec>.json record
+// (wall time + obs phase breakdown) under -bench-dir.
+func benchRun(args []string) int {
+	fs := flag.NewFlagSet("bench run", flag.ExitOnError)
+	var (
+		exp      = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experiments.SpecIDs(), ", ")+") or all")
+		parallel = fs.Int("parallel", 0, "experiments in flight (0 = one per CPU, 1 = serial)")
+		benchDir = fs.String("bench-dir", ".", "directory for the per-spec BENCH_<spec>.json records")
+	)
+	lf := addLogFlags(fs)
+	_ = fs.Parse(args)
+	logger := lf.logger()
+	var ids []string
+	if *exp != "all" {
+		ids = splitList(*exp)
+	}
+	start := time.Now()
+	if logger != nil {
+		logger.Info("experiments started", "exp", *exp)
+	}
+	tables, recs, err := experiments.Run(ids, *parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "psdf bench run:", err)
+		return 1
+	}
+	if logger != nil {
+		logger.Info("experiments finished", "exp", *exp,
+			"elapsed_ms", time.Since(start).Milliseconds(), "specs", len(recs))
+	}
+	for _, t := range tables {
+		fmt.Println(t)
+	}
+	for _, rec := range recs {
+		data, err := json.MarshalIndent(rec, "", "  ")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "psdf bench run:", err)
+			return 1
+		}
+		// Atomic (temp file + rename): an interrupted run never leaves a
+		// truncated record behind.
+		path := filepath.Join(*benchDir, "BENCH_"+rec.Spec+".json")
+		if err := benchhist.WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "psdf bench run:", err)
+			return 1
+		}
+		fmt.Printf("wrote %s (wall %dms, %d phases)\n", path, rec.WallNs/1e6, len(rec.Phases))
+	}
+	return 0
+}
+
+// splitList splits a comma-separated list, dropping blank items.
+func splitList(s string) []string {
+	var out []string
+	for _, item := range strings.Split(s, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			out = append(out, item)
+		}
+	}
+	return out
 }
 
 // gitHead returns the current commit SHA, or "" when not in a git checkout
@@ -98,23 +166,12 @@ func benchRecord(args []string) int {
 	)
 	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench record:", err)
-		return 2
-	}
+	logger := lf.logger()
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "psdf bench record: unexpected arguments", fs.Args())
 		return 2
 	}
-	var ids []string
-	if *expList != "" {
-		for _, id := range strings.Split(*expList, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
-		}
-	}
+	ids := splitList(*expList)
 	sha := *commit
 	if sha == "" {
 		if sha = gitHead(); sha == "" {
@@ -226,11 +283,7 @@ func benchDiff(args []string) int {
 	)
 	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench diff:", err)
-		return 2
-	}
+	logger := lf.logger()
 	if logger != nil {
 		logger.Info("bench diff", "history", *history, "old", *oldSel, "new", *newSel)
 	}
@@ -285,11 +338,7 @@ func benchCheck(args []string) int {
 	)
 	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench check:", err)
-		return 2
-	}
+	logger := lf.logger()
 	r, err := diffReport(*history, *baseline, *target,
 		benchhist.Thresholds{Alpha: *alpha, MinDelta: *minDelta, MaxAllocDelta: *maxAlloc})
 	if err != nil {
@@ -323,11 +372,7 @@ func benchReport(args []string) int {
 	)
 	lf := addLogFlags(fs)
 	_ = fs.Parse(args)
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psdf bench report:", err)
-		return 2
-	}
+	logger := lf.logger()
 	entries, err := benchhist.Read(*history)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdf bench report:", err)
@@ -349,6 +394,30 @@ func benchReport(args []string) int {
 	return 0
 }
 
+// specTable renders a markdown table with one row per spec id and one
+// column per entry; cell returns "" when an entry has no value ("-").
+func specTable(b *strings.Builder, title string, entries []*benchhist.Entry, ids []string, cell func(*benchhist.SpecTiming) string) {
+	fmt.Fprintf(b, "## %s\n\n| spec |", title)
+	for i, e := range entries {
+		fmt.Fprintf(b, " #%d `%s` |", i, e.ShortCommit())
+	}
+	b.WriteString("\n|---|" + strings.Repeat("---:|", len(entries)) + "\n")
+	for _, id := range ids {
+		fmt.Fprintf(b, "| %s |", id)
+		for _, e := range entries {
+			v := ""
+			if st := e.Specs[id]; st != nil {
+				v = cell(st)
+			}
+			if v == "" {
+				v = "-"
+			}
+			fmt.Fprintf(b, " %s |", v)
+		}
+		b.WriteString("\n")
+	}
+}
+
 // trajectoryMarkdown renders the full history: one row per entry per spec
 // (median wall), plus the fingerprint deltas between consecutive entries.
 func trajectoryMarkdown(path string, entries []*benchhist.Entry) string {
@@ -368,26 +437,9 @@ func trajectoryMarkdown(path string, entries []*benchhist.Entry) string {
 	}
 	sort.Strings(sorted)
 
-	b.WriteString("## Timing trajectory (median wall per entry)\n\n| spec |")
-	for i, e := range entries {
-		fmt.Fprintf(&b, " #%d `%s` |", i, e.ShortCommit())
-	}
-	b.WriteString("\n|---|")
-	for range entries {
-		b.WriteString("---:|")
-	}
-	b.WriteString("\n")
-	for _, id := range sorted {
-		fmt.Fprintf(&b, "| %s |", id)
-		for _, e := range entries {
-			if st := e.Specs[id]; st != nil {
-				fmt.Fprintf(&b, " %v |", time.Duration(st.MedianNs).Round(time.Microsecond))
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		b.WriteString("\n")
-	}
+	specTable(&b, "Timing trajectory (median wall per entry)", entries, sorted, func(st *benchhist.SpecTiming) string {
+		return time.Duration(st.MedianNs).Round(time.Microsecond).String()
+	})
 
 	// Allocation trajectory, shown once any entry carries alloc data
 	// (entries recorded before the fields existed render as "-").
@@ -400,26 +452,13 @@ func trajectoryMarkdown(path string, entries []*benchhist.Entry) string {
 		}
 	}
 	if anyAllocs {
-		b.WriteString("\n## Allocation trajectory (allocs/op per entry)\n\n| spec |")
-		for i, e := range entries {
-			fmt.Fprintf(&b, " #%d `%s` |", i, e.ShortCommit())
-		}
-		b.WriteString("\n|---|")
-		for range entries {
-			b.WriteString("---:|")
-		}
 		b.WriteString("\n")
-		for _, id := range sorted {
-			fmt.Fprintf(&b, "| %s |", id)
-			for _, e := range entries {
-				if st := e.Specs[id]; st.HasAllocs() {
-					fmt.Fprintf(&b, " %d (%s) |", st.AllocsPerOp, humanBytes(st.BytesPerOp))
-				} else {
-					b.WriteString(" - |")
-				}
+		specTable(&b, "Allocation trajectory (allocs/op per entry)", entries, sorted, func(st *benchhist.SpecTiming) string {
+			if !st.HasAllocs() {
+				return ""
 			}
-			b.WriteString("\n")
-		}
+			return fmt.Sprintf("%d (%s)", st.AllocsPerOp, humanBytes(st.BytesPerOp))
+		})
 	}
 
 	// Differential-fuzz trajectory, shown once any entry carries a sweep

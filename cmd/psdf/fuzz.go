@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"repro/internal/benchhist"
 	"repro/internal/differ"
@@ -47,10 +46,7 @@ func runFuzz(args []string) int {
 		return 2
 	}
 	do := differ.Options{}
-	if do.Core.Log, err = lf.logger(); err != nil {
-		fmt.Fprintf(os.Stderr, "psdf fuzz: %v\n", err)
-		return 2
-	}
+	do.Core.Log = lf.logger()
 	if do.NPs, err = parseIntList(*nps); err != nil {
 		fmt.Fprintf(os.Stderr, "psdf fuzz: bad -np: %v\n", err)
 		return 2
@@ -131,17 +127,7 @@ func runFuzz(args []string) int {
 		100*res.PrecisionRate())
 	if res.Attribution != nil {
 		res.Attribution.WriteTable(os.Stdout)
-		f, err := os.Create(*profOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "psdf fuzz: %v\n", err)
-			return 2
-		}
-		if err := res.Attribution.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "psdf fuzz: %v\n", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*profOut, res.Attribution.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "psdf fuzz: %v\n", err)
 			return 2
 		}
@@ -187,12 +173,9 @@ func runFuzz(args []string) int {
 
 // parseIntList parses "2,3,4" into []int; empty input yields nil (defaults).
 func parseIntList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+	for _, part := range splitList(s) {
+		v, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, err
 		}

@@ -8,18 +8,14 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cfg"
-	"repro/internal/clients/cartesian"
 	"repro/internal/core"
-	"repro/internal/parser"
 	"repro/internal/prof"
-	"repro/internal/sem"
 )
 
 // runProfile implements `psdf profile`: it renders source-attributed
 // analysis profiles either from saved psdf-profile/1 JSON reports (as
-// written by `psdf-run -profile-out` or `psdf profile -format json`) or
-// by profiling fresh MPL programs in place.
+// written by `psdf -profile-out` or `psdf profile -format json`) or by
+// profiling fresh MPL programs in place.
 func runProfile(args []string) int {
 	fs := flag.NewFlagSet("psdf profile", flag.ExitOnError)
 	var (
@@ -41,13 +37,13 @@ func runProfile(args []string) int {
 		return 2
 	}
 
-	logger, err := lf.logger()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "psdf profile: %v\n", err)
-		return 2
-	}
+	logger := lf.logger()
 
+	// Reports keep argument order; .mpl inputs are profiled together and
+	// slotted back in at their positions.
 	var jobs []*prof.Report
+	var mpl []string
+	var slots []int
 	for _, path := range fs.Args() {
 		if strings.HasSuffix(path, ".json") {
 			f, err := os.Open(path)
@@ -68,60 +64,59 @@ func runProfile(args []string) int {
 			fmt.Fprintf(os.Stderr, "psdf profile: -check takes JSON reports, got %s\n", path)
 			return 2
 		}
-		rep, err := profileProgram(path, logger)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "psdf profile: %s: %v\n", path, err)
-			return 2
-		}
-		jobs = append(jobs, rep)
+		mpl = append(mpl, path)
+		slots = append(slots, len(jobs))
+		jobs = append(jobs, nil)
+	}
+	reps, err := profilePrograms(mpl, logger)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "psdf profile: %v\n", err)
+		return 2
+	}
+	for i, rep := range reps {
+		jobs[slots[i]] = rep
 	}
 	if *check {
 		fmt.Printf("psdf profile: %d report(s) valid\n", len(jobs))
 		return 0
 	}
 
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "psdf profile: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		w = f
+	path := *out
+	if path == "" {
+		path = "-"
 	}
-	if err := renderProfiles(w, jobs, *format, *top); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return renderProfiles(w, jobs, *format, *top) }); err != nil {
 		fmt.Fprintf(os.Stderr, "psdf profile: %v\n", err)
 		return 2
 	}
 	return 0
 }
 
-// profileProgram analyzes one MPL source file with a profiler attached
-// and returns its source-attributed report.
-func profileProgram(path string, logger *slog.Logger) (*prof.Report, error) {
-	src, err := os.ReadFile(path)
+// profilePrograms analyzes MPL source files one at a time with a
+// profiler attached to each and returns their source-attributed reports.
+func profilePrograms(paths []string, logger *slog.Logger) ([]*prof.Report, error) {
+	if len(paths) == 0 {
+		return nil, nil
+	}
+	progs, err := loadPrograms(paths)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := parser.Parse(path, string(src))
+	jobs, err := newJobs(progs, "cartesian", core.Options{Log: logger})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sem.Check(prog); err != nil {
-		return nil, err
+	for i := range jobs {
+		jobs[i].Opts.Profiler = prof.New()
 	}
-	g := cfg.Build(prog)
-	p := prof.New()
-	if _, err := core.Analyze(g, core.Options{
-		Matcher:  cartesian.New(core.ScanInvariants(g)),
-		Name:     path,
-		Log:      logger,
-		Profiler: p,
-	}); err != nil {
-		return nil, err
+	reps := make([]*prof.Report, len(jobs))
+	for i, jr := range core.AnalyzeAll(jobs, 1) {
+		if jr.Err != nil {
+			return nil, fmt.Errorf("%s: %w", jr.Name, jr.Err)
+		}
+		reps[i] = jobs[i].Opts.Profiler.Report(jr.Name, progs[i].src)
 	}
-	return p.Report(path, string(src)), nil
+	return reps, nil
 }
 
 // renderProfiles writes the collected reports in the requested format.

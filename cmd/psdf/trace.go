@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -13,9 +14,9 @@ import (
 )
 
 // runTrace implements `psdf trace`: summarize a span trace written by
-// `psdf-run -analyze -trace` (Chrome trace-event format) or -trace-jsonl
-// (JSON lines) into a per-phase / per-configuration cost table, or validate
-// it with -check.
+// `psdf -trace` (Chrome trace-event format) or -trace-jsonl (JSON lines)
+// into a per-phase / per-configuration cost table, or validate it with
+// -check.
 func runTrace(args []string) int {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	var (
@@ -68,33 +69,26 @@ func readTrace(path string) ([]obs.Event, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var first [1]byte
+	r := bufio.NewReader(f)
 	for {
-		n, err := f.Read(first[:])
-		if n > 0 {
-			switch first[0] {
-			case ' ', '\t', '\n', '\r':
-				continue
-			}
-			break
-		}
+		c, err := r.ReadByte()
 		if err == io.EOF {
 			return nil, fmt.Errorf("empty trace file")
 		}
-		if err == nil {
-			// A (0, nil) read is legal for an io.Reader; error out rather
-			// than spin.
-			err = io.ErrNoProgress
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			continue
+		}
+		if err := r.UnreadByte(); err != nil {
+			return nil, err
+		}
+		if c == '[' {
+			return obs.ReadChromeTrace(r)
+		}
+		return obs.ReadJSONL(r)
 	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	if first[0] == '[' {
-		return obs.ReadChromeTrace(f)
-	}
-	return obs.ReadJSONL(f)
 }
 
 func printSummary(path string, s obs.Summary, top int) {

@@ -55,8 +55,6 @@ type Options struct {
 	// Patterns that send before receiving (all-to-one-then-back, send-first
 	// stencils) then need no pipeline analysis.
 	NonBlockingSends bool
-	// Trace receives step-by-step analysis logging when non-nil.
-	Trace io.Writer
 	// Schedule selects the worklist order: ScheduleFIFO (default) or
 	// ScheduleLIFO. Any other value is an error.
 	Schedule string
@@ -372,7 +370,7 @@ func (e *engine) profStep(node int, t0 time.Time, spawned int) {
 	if e.prof == nil {
 		return
 	}
-	e.prof.Step(0, node, time.Since(t0).Nanoseconds(), spawned)
+	e.prof.Step(node, time.Since(t0).Nanoseconds(), spawned)
 }
 
 // matchProbe captures the matcher-shared counters around one Matcher call
@@ -413,7 +411,7 @@ func (e *engine) profMatchEnd(node int, pr matchProbe, matched bool) {
 		s, n := e.profProver()
 		searches, proverNs = s-pr.searches, n-pr.proverNs
 	}
-	e.prof.Match(0, node, ns, misses, searches, proverNs, matched)
+	e.prof.Match(node, ns, misses, searches, proverNs, matched)
 }
 
 // blameNode picks a deterministic attribution node for combine events:
@@ -461,7 +459,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 		started: time.Now(),
 	}
 	if opts.Profiler != nil {
-		e.prof = opts.Profiler.NewLanes(0, len(g.Nodes))
+		e.prof = opts.Profiler.NewLanes(len(g.Nodes))
 		if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
 			e.profMemo = mp.Memo()
 		}
@@ -537,7 +535,7 @@ func (e *engine) run(init *State, schedule string) {
 		}
 		e.steps.Add(1)
 		key := e.in.keyOf(id)
-		e.rec().Record("step", e.opts.TracePID, 0, key, "")
+		e.rec().Record("step", e.opts.TracePID, key, "")
 		sp := e.span(obs.PhaseStep, key)
 		var tops []succ
 		for _, sa := range e.step(st, key) {
@@ -589,7 +587,7 @@ func (e *engine) finish() {
 			fin.Top = true
 			fin.TopWhy = "stale match witness survived widening: " + why
 			e.res.Tops = append(e.res.Tops, fin)
-			e.prof.TopDemotion(0, node)
+			e.prof.TopDemotion(node)
 			continue
 		}
 		finals = append(finals, fin)
@@ -649,8 +647,8 @@ func (e *engine) commitStuckTops() {
 			if e.table[id] == nil {
 				e.table[id] = &tableEntry{st: sa.st}
 				e.giveUps.Add(1)
-				e.prof.GiveUp(0, sa.st.TopNode)
-				e.rec().Record("giveup", e.opts.TracePID, 0, key, "stuck: "+sa.action)
+				e.prof.GiveUp(sa.st.TopNode)
+				e.rec().Record("giveup", e.opts.TracePID, key, "stuck: "+sa.action)
 			}
 		}
 	}
@@ -711,12 +709,6 @@ func (e *engine) collectMatches() {
 		}
 		return a.String() < b.String()
 	})
-}
-
-func (e *engine) tracef(format string, args ...any) {
-	if e.opts.Trace != nil {
-		fmt.Fprintf(e.opts.Trace, format+"\n", args...)
-	}
 }
 
 // assignedVars collects program variables written anywhere in the CFG.
@@ -783,7 +775,6 @@ func (e *engine) insert(fromKey string, st *State, action string) {
 	if entry == nil {
 		e.table[id] = &tableEntry{st: st}
 		e.push(id)
-		e.tracef("new    %-40s %s", key, st)
 		return
 	}
 	if e.reviseEntry(entry, st, key) {
@@ -835,7 +826,7 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
 	// reorder entry.st.Sets between AlignTo and combine.
-	e.prof.Combine(0, blameNode(entry.st), combinePhase == obs.PhaseWiden)
+	e.prof.Combine(blameNode(entry.st), combinePhase == obs.PhaseWiden)
 	csp := e.span(combinePhase, key)
 	widened := e.combine(entry, st)
 	csp.End()
@@ -870,11 +861,11 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
 		e.giveUps.Add(1)
-		e.rec().Record("giveup", e.opts.TracePID, 0, key, "widening did not converge")
+		e.rec().Record("giveup", e.opts.TracePID, key, "widening did not converge")
 		old := entry.st
 		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
 			TopNode: firstActiveNode(old), TopKey: key}
-		e.prof.GiveUp(0, entry.st.TopNode)
+		e.prof.GiveUp(entry.st.TopNode)
 		old.Release()
 		widened.Release()
 		st.Release()
@@ -886,7 +877,6 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.st = widened
 	old.Release()
 	st.Release()
-	e.tracef("widen  %-40s %s", key, widened)
 	return true
 }
 
@@ -1081,7 +1071,7 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 				} else if len(detail) > 0 {
 					fb = detail[0]
 				}
-				e.prof.WidenFail(0, pnode, fa, fb)
+				e.prof.WidenFail(pnode, fa, fb)
 			}
 			return &State{Top: true, TopWhy: "widening failed: no common bound expressions: " + strings.Join(detail, "; "),
 				TopNode: blame}
@@ -1819,7 +1809,7 @@ func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 			if e.prof != nil {
 				// Pending delivery needs no Matcher call; count the match
 				// against the pending send's node with zero probe deltas.
-				e.prof.Match(0, pm.Pending.Node, 0, 0, 0, 0, true)
+				e.prof.Match(pm.Pending.Node, 0, 0, 0, 0, true)
 			}
 			ns.AddMatch(pm.Pending.Node, recvNode.ID, pm.SendersMatched, pm.RecvMatched)
 			advance(nr)

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -78,21 +77,6 @@ func TestMissingMatcher(t *testing.T) {
 	g := cfg.Build(prog)
 	if _, err := core.Analyze(g, core.Options{}); err == nil {
 		t.Error("nil matcher accepted")
-	}
-}
-
-// Trace output narrates the exploration.
-func TestTraceOutput(t *testing.T) {
-	prog, _ := parser.Parse("t.mpl", fig2Src)
-	g := cfg.Build(prog)
-	var buf bytes.Buffer
-	res, err := core.Analyze(g, core.Options{Matcher: &symbolic.Matcher{}, Trace: &buf})
-	if err != nil || !res.Clean() {
-		t.Fatalf("%v %v", err, res.TopReasons())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "new") || !strings.Contains(out, "[0..np - 1]") {
-		t.Errorf("trace missing content:\n%s", out)
 	}
 }
 

@@ -114,7 +114,7 @@ func (e *engine) armWatchdog() *obs.Watchdog {
 				"steps", e.steps.Load(), "configs", e.in.size(),
 				"widenings", e.widenings.Load())
 		}
-		e.rec().Record("stall", e.opts.TracePID, 0, "", "no progress for "+rep.Stalled.String())
+		e.rec().Record("stall", e.opts.TracePID, "", "no progress for "+rep.Stalled.String())
 		e.dumpFlight("stall")
 	})
 	wd.Start(0)
@@ -144,7 +144,7 @@ func (e *engine) dumpFlight(reason string) {
 		if rec == nil || e.opts.StallDump == nil {
 			return
 		}
-		rec.Record("dump", e.opts.TracePID, 0, "", reason)
+		rec.Record("dump", e.opts.TracePID, "", reason)
 		if err := rec.Dump(e.opts.StallDump); err != nil && e.opts.Log != nil {
 			e.opts.Log.Error("flight-recorder dump failed", "job", e.opts.TracePID, "err", err)
 		}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -657,24 +656,15 @@ type SpecResult struct {
 	Phases        obs.PhaseTotals `json:"phases"`
 	// Allocs and AllocBytes are the heap allocation count and allocated
 	// bytes of this run, from runtime.MemStats deltas. Only populated when
-	// the caller ran the spec serially (RunSampled with parallelism 1);
-	// process-global deltas are meaningless with specs in flight
-	// concurrently, so parallel runs leave them zero.
+	// the specs ran serially (parallelism 1); process-global deltas are
+	// meaningless with specs in flight concurrently, so parallel runs leave
+	// them zero.
 	Allocs     int64 `json:"allocs,omitempty"`
 	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 }
 
-// RunSpec runs one experiment by ID with an aggregate tracer attached,
-// returning both the rendered table and the benchmark record.
-func RunSpec(id string) (*Table, *SpecResult, error) {
-	for _, s := range specs() {
-		if s.ID == id {
-			return runSpec(s)
-		}
-	}
-	return nil, nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(SpecIDs(), ", "))
-}
-
+// runSpec runs one experiment with an aggregate tracer attached, returning
+// both the rendered table and the benchmark record.
 func runSpec(s Spec) (*Table, *SpecResult, error) {
 	tr := obs.NewAggregate()
 	start := time.Now()
@@ -693,58 +683,9 @@ func runSpec(s Spec) (*Table, *SpecResult, error) {
 	}, nil
 }
 
-// RunAll runs every experiment with up to parallelism specs in flight (the
-// specs are independent), returning tables and records in DESIGN.md order.
-// parallelism <= 0 selects one worker per CPU.
-func RunAll(parallelism int) ([]*Table, []*SpecResult, error) {
-	ss := specs()
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	if parallelism > len(ss) {
-		parallelism = len(ss)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	out := make([]*Table, len(ss))
-	recs := make([]*SpecResult, len(ss))
-	errs := make([]error, len(ss))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], recs[i], errs[i] = runSpec(ss[i])
-			}
-		}()
-	}
-	for i := range ss {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, recs, nil
-}
-
 // All runs every experiment in DESIGN.md order.
 func All() ([]*Table, error) {
-	tables, _, err := RunAll(1)
-	return tables, err
-}
-
-// AllParallel regenerates every experiment with up to parallelism specs in
-// flight, returning tables in the usual order. parallelism <= 0 selects one
-// worker per CPU.
-func AllParallel(parallelism int) ([]*Table, error) {
-	tables, _, err := RunAll(parallelism)
+	tables, _, err := Run(nil, 1)
 	return tables, err
 }
 

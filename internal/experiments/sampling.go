@@ -65,7 +65,7 @@ func RunSampled(ids []string, samples, parallelism int) ([]*SampledSpec, error) 
 		if rep == 0 && samples > 1 {
 			stage = "warmup"
 		}
-		recs, errs := runSpecsOnce(selected, parallelism, stage, rep)
+		_, recs, errs := runSpecsOnce(selected, parallelism, stage, rep)
 		for i, err := range errs {
 			// No retries: the parallel engine's widening ladder is driven by
 			// state-derived revision counters, so a spec failure is a real
@@ -116,11 +116,30 @@ func selectSpecs(ids []string) ([]Spec, error) {
 	return out, nil
 }
 
+// Run runs the selected specs (nil or empty = the whole registry) once,
+// with up to parallelism specs in flight (1 = serial, which also records
+// per-spec allocations; <= 0 = one per CPU), returning tables and records
+// in registry order. The first spec error aborts the run.
+func Run(ids []string, parallelism int) ([]*Table, []*SpecResult, error) {
+	selected, err := selectSpecs(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	tables, recs, errs := runSpecsOnce(selected, parallelism, "run", 0)
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return tables, recs, nil
+}
+
 // runSpecsOnce runs each selected spec once with up to parallelism specs in
-// flight (<= 0 selects one per CPU), returning per-spec records and errors
-// positionally. stage/rep become pprof goroutine labels on each spec run
-// (stage "" omits the labels).
-func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*SpecResult, []error) {
+// flight (<= 0 selects one per CPU), returning per-spec tables, records and
+// errors positionally. stage/rep become pprof goroutine labels on each spec
+// run.
+func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*Table, []*SpecResult, []error) {
+	tables := make([]*Table, len(selected))
 	recs := make([]*SpecResult, len(selected))
 	errs := make([]error, len(selected))
 	if parallelism <= 0 {
@@ -140,33 +159,26 @@ func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*S
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				run := func() {
-					if serial {
-						// MemStats deltas are process-global, so they are only
-						// attributable to a spec when nothing else runs.
-						var m0, m1 runtime.MemStats
-						runtime.ReadMemStats(&m0)
-						_, recs[i], errs[i] = runSpec(selected[i])
-						runtime.ReadMemStats(&m1)
-						if recs[i] != nil {
-							recs[i].Allocs = int64(m1.Mallocs - m0.Mallocs)
-							recs[i].AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-						}
-					} else {
-						_, recs[i], errs[i] = runSpec(selected[i])
-					}
-				}
-				if stage == "" {
-					run()
-					continue
-				}
 				// Label construction happens before the MemStats window
-				// opens inside run, so the handful of label-set allocations
-				// never contaminate the per-spec alloc deltas.
+				// opens, so the handful of label-set allocations never
+				// contaminate the per-spec alloc deltas.
 				pprof.Do(context.Background(), pprof.Labels(
 					"psdf_spec", selected[i].ID, "psdf_stage", stage,
 					"psdf_rep", strconv.Itoa(rep)),
-					func(context.Context) { run() })
+					func(context.Context) {
+						// MemStats deltas are process-global, so they are
+						// only attributable to a spec when nothing else runs.
+						var m0, m1 runtime.MemStats
+						if serial {
+							runtime.ReadMemStats(&m0)
+						}
+						tables[i], recs[i], errs[i] = runSpec(selected[i])
+						if serial && recs[i] != nil {
+							runtime.ReadMemStats(&m1)
+							recs[i].Allocs = int64(m1.Mallocs - m0.Mallocs)
+							recs[i].AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
+						}
+					})
 			}
 		}()
 	}
@@ -175,5 +187,5 @@ func runSpecsOnce(selected []Spec, parallelism int, stage string, rep int) ([]*S
 	}
 	close(idx)
 	wg.Wait()
-	return recs, errs
+	return tables, recs, errs
 }

@@ -1,11 +1,14 @@
 package integration_test
 
 import (
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildTool compiles one of the repo's commands into a temp dir.
@@ -82,35 +85,35 @@ func TestCLIPsdfOnTestdata(t *testing.T) {
 	}
 }
 
-func TestCLIPsdfRun(t *testing.T) {
+func TestCLIPsdfSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf-run")
+	bin := buildTool(t, "psdf")
 	root := repoRoot(t)
-	out, err := exec.Command(bin, "-np", "5", filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput()
+	out, err := exec.Command(bin, "sim", "-np", "5", filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run: %v\n%s", err, out)
+		t.Fatalf("psdf sim: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "messages=8") {
-		t.Errorf("psdf-run output:\n%s", out)
+		t.Errorf("psdf sim output:\n%s", out)
 	}
 	// Transpose with env bindings.
-	out, err = exec.Command(bin, "-np", "9", "-env", "nrows=3",
+	out, err = exec.Command(bin, "sim", "-np", "9", "-env", "nrows=3",
 		filepath.Join(root, "testdata", "nascg_square.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run transpose: %v\n%s", err, out)
+		t.Fatalf("psdf sim transpose: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "messages=9") {
-		t.Errorf("psdf-run transpose output:\n%s", out)
+		t.Errorf("psdf sim transpose output:\n%s", out)
 	}
 	// The leaky program reports the leak but exits zero (no deadlock).
-	out, err = exec.Command(bin, "-np", "4", filepath.Join(root, "testdata", "leaky.mpl")).CombinedOutput()
+	out, err = exec.Command(bin, "sim", "-np", "4", filepath.Join(root, "testdata", "leaky.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run leaky: %v\n%s", err, out)
+		t.Fatalf("psdf sim leaky: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "LEAKED") {
-		t.Errorf("psdf-run leaky output:\n%s", out)
+		t.Errorf("psdf sim leaky output:\n%s", out)
 	}
 }
 
@@ -118,17 +121,17 @@ func TestCLIPsdfBenchSingleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf-bench")
+	bin := buildTool(t, "psdf")
 	dir := t.TempDir()
-	cmd := exec.Command(bin, "-exp", "table1")
+	cmd := exec.Command(bin, "bench", "run", "-exp", "table1")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-bench: %v\n%s", err, out)
+		t.Fatalf("psdf bench run: %v\n%s", err, out)
 	}
 	for _, w := range []string{"Table I", "paper", "measured", "yes", "wrote BENCH_table1.json"} {
 		if !strings.Contains(string(out), w) {
-			t.Errorf("psdf-bench output missing %q:\n%s", w, out)
+			t.Errorf("psdf bench run output missing %q:\n%s", w, out)
 		}
 	}
 	// The machine-readable record lands in the working directory with the
@@ -143,19 +146,18 @@ func TestCLIPsdfBenchSingleExperiment(t *testing.T) {
 		}
 	}
 	// Unknown experiment id exits nonzero.
-	if _, err := exec.Command(bin, "-exp", "nope").CombinedOutput(); err == nil {
+	if _, err := exec.Command(bin, "bench", "run", "-exp", "nope").CombinedOutput(); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
-// TestCLITraceWorkflow drives the full observability loop: psdf-run
-// -analyze -trace writes a Chrome trace and a metrics snapshot, and `psdf
-// trace` summarizes and validates the trace.
+// TestCLITraceWorkflow drives the full observability loop: psdf -trace
+// writes a Chrome trace and a metrics snapshot, and `psdf trace`
+// summarizes and validates the trace.
 func TestCLITraceWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	runBin := buildTool(t, "psdf-run")
 	psdfBin := buildTool(t, "psdf")
 	root := repoRoot(t)
 	dir := t.TempDir()
@@ -163,16 +165,16 @@ func TestCLITraceWorkflow(t *testing.T) {
 	jsonl := filepath.Join(dir, "trace.jsonl")
 	metrics := filepath.Join(dir, "metrics.prom")
 
-	out, err := exec.Command(runBin, "-analyze",
+	out, err := exec.Command(psdfBin, "-stats",
 		"-trace", trace, "-trace-jsonl", jsonl, "-metrics-out", metrics,
 		filepath.Join(root, "testdata", "nascg_square.mpl"),
 		filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput()
 	if err != nil {
-		t.Fatalf("psdf-run -trace: %v\n%s", err, out)
+		t.Fatalf("psdf -trace: %v\n%s", err, out)
 	}
 	for _, w := range []string{"phases:", "match-memo:", "hit rate"} {
 		if !strings.Contains(string(out), w) {
-			t.Errorf("psdf-run output missing %q:\n%s", w, out)
+			t.Errorf("psdf -trace output missing %q:\n%s", w, out)
 		}
 	}
 	prom, err := os.ReadFile(metrics)
@@ -300,34 +302,107 @@ func TestCLIPsdfLint(t *testing.T) {
 	}
 }
 
-// TestCLIPsdfRunFailOnFindings covers the flag-gated nonzero exits.
-func TestCLIPsdfRunFailOnFindings(t *testing.T) {
+// TestCLIPsdfFailOnFindings covers the flag-gated nonzero exits.
+func TestCLIPsdfFailOnFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped in -short mode")
 	}
-	bin := buildTool(t, "psdf-run")
+	bin := buildTool(t, "psdf")
 	root := repoRoot(t)
 	leaky := filepath.Join(root, "testdata", "leaky.mpl")
 	// Without the flag the leaky simulation exits zero...
-	if out, err := exec.Command(bin, "-np", "4", leaky).CombinedOutput(); err != nil {
-		t.Fatalf("psdf-run leaky: %v\n%s", err, out)
+	if out, err := exec.Command(bin, "sim", "-np", "4", leaky).CombinedOutput(); err != nil {
+		t.Fatalf("psdf sim leaky: %v\n%s", err, out)
 	}
 	// ...with it, the leak is fatal.
-	if _, err := exec.Command(bin, "-np", "4", "-fail-on-findings", leaky).CombinedOutput(); err == nil {
-		t.Error("psdf-run -fail-on-findings ignored a leak")
+	if _, err := exec.Command(bin, "sim", "-np", "4", "-fail-on-findings", leaky).CombinedOutput(); err == nil {
+		t.Error("psdf sim -fail-on-findings ignored a leak")
 	}
-	// Analyze mode: clean program passes, leak fails.
-	if out, err := exec.Command(bin, "-analyze", "-fail-on-findings",
+	// Analysis: clean program passes, leak fails.
+	if out, err := exec.Command(bin, "-fail-on-findings",
 		filepath.Join(root, "testdata", "mdcask.mpl")).CombinedOutput(); err != nil {
-		t.Errorf("psdf-run -analyze clean: %v\n%s", err, out)
+		t.Errorf("psdf -fail-on-findings clean: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-analyze", "-fail-on-findings",
+	out, err := exec.Command(bin, "-fail-on-findings",
 		filepath.Join(root, "testdata", "bugs", "leak_extra.mpl")).CombinedOutput()
 	if err == nil {
-		t.Error("psdf-run -analyze -fail-on-findings ignored a leak")
+		t.Error("psdf -fail-on-findings ignored a leak")
 	}
 	if !strings.Contains(string(out), "FINDING") {
-		t.Errorf("psdf-run -analyze findings not printed:\n%s", out)
+		t.Errorf("psdf findings not printed:\n%s", out)
+	}
+}
+
+// TestCLIMultiProgramMatchesSingle: a multi-program run prints, under one
+// header per program, exactly the report each program prints alone,
+// whether the programs are analyzed one at a time or concurrently.
+func TestCLIMultiProgramMatchesSingle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildTool(t, "psdf")
+	root := repoRoot(t)
+	var paths []string
+	for _, name := range []string{"mdcask.mpl", "shift1d.mpl", "nascg_square.mpl", "exchange.mpl", "leaky.mpl"} {
+		paths = append(paths, filepath.Join(root, "testdata", name))
+	}
+	// stdout runs bin and returns its standard output and exit code.
+	stdout := func(args ...string) (string, int) {
+		t.Helper()
+		out, err := exec.Command(bin, args...).Output()
+		if ee, ok := err.(*exec.ExitError); ok {
+			return string(out), ee.ExitCode()
+		}
+		if err != nil {
+			t.Fatalf("psdf %v: %v", args, err)
+		}
+		return string(out), 0
+	}
+	for _, flags := range [][]string{nil, {"-stats"}} {
+		var want strings.Builder
+		wantCode := 0
+		for _, p := range paths {
+			out, code := stdout(append(append([]string{}, flags...), p)...)
+			fmt.Fprintf(&want, "==> %s <==\n%s", p, out)
+			wantCode = max(wantCode, code)
+		}
+		if wantCode != 1 {
+			t.Errorf("single runs: exit %d, want 1 (leaky.mpl is incomplete)", wantCode)
+		}
+		for _, par := range []string{"1", "4"} {
+			args := append(append([]string{"-parallel", par}, flags...), paths...)
+			got, code := stdout(args...)
+			if got != want.String() {
+				t.Errorf("psdf %v differs from the single-program reports:\n got:\n%s\nwant:\n%s", args, got, want.String())
+			}
+			if code != wantCode {
+				t.Errorf("psdf %v: exit %d, want %d", args, code, wantCode)
+			}
+		}
+	}
+}
+
+// TestCLIHTTPBindFailure: an -http address that cannot be bound fails the
+// run up front with a nonzero exit, even with -http-linger, instead of
+// analyzing unobserved or lingering forever.
+func TestCLIHTTPBindFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped in -short mode")
+	}
+	bin := buildTool(t, "psdf")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	out, err := runWithTimeout(t, 30*time.Second, bin, "-http", addr, "-http-linger",
+		filepath.Join(repoRoot(t), "testdata", "mdcask.mpl"))
+	if err == nil {
+		t.Fatalf("psdf -http %s on a busy address exited 0:\n%s", addr, out)
+	}
+	if !strings.Contains(out, addr) || strings.Contains(out, "topology:") {
+		t.Errorf("psdf -http %s: want a bind error before any analysis:\n%s", addr, out)
 	}
 }
 

@@ -25,7 +25,6 @@ type FlightEvent struct {
 	AtNs   int64  `json:"at_ns"`
 	Kind   string `json:"kind"` // step, giveup, stall, dump, ...
 	Job    int    `json:"job"`
-	Worker int    `json:"worker"`
 	Key    string `json:"key,omitempty"`
 	Detail string `json:"detail,omitempty"`
 }
@@ -61,13 +60,13 @@ func (r *FlightRecorder) SetClock(clock func() time.Duration) { r.clock = clock 
 
 // Record appends one event, evicting the oldest when the ring is full.
 // No-op on a nil recorder.
-func (r *FlightRecorder) Record(kind string, job, worker int, key, detail string) {
+func (r *FlightRecorder) Record(kind string, job int, key, detail string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	ev := FlightEvent{Seq: r.next, AtNs: int64(r.clock()), Kind: kind,
-		Job: job, Worker: worker, Key: key, Detail: detail}
+		Job: job, Key: key, Detail: detail}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
 	} else {

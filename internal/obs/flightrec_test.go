@@ -14,7 +14,7 @@ func TestFlightRecorderWraparound(t *testing.T) {
 	r := NewFlightRecorder(16)
 	r.SetClock(func() time.Duration { return 0 })
 	for i := 0; i < 40; i++ {
-		r.Record("step", 1, 2, fmt.Sprintf("k%d", i), "")
+		r.Record("step", 1, fmt.Sprintf("k%d", i), "")
 	}
 	if got := r.Total(); got != 40 {
 		t.Fatalf("Total = %d, want 40", got)
@@ -39,7 +39,7 @@ func TestFlightRecorderWraparound(t *testing.T) {
 func TestFlightRecorderPartialFill(t *testing.T) {
 	r := NewFlightRecorder(16)
 	for i := 0; i < 5; i++ {
-		r.Record("commit", 0, 0, "", "")
+		r.Record("commit", 0, "", "")
 	}
 	evs := r.Snapshot()
 	if len(evs) != 5 {
@@ -56,7 +56,7 @@ func TestFlightRecorderDumpDeterminism(t *testing.T) {
 	r := NewFlightRecorder(16)
 	r.SetClock(func() time.Duration { return 42 * time.Nanosecond })
 	for i := 0; i < 30; i++ {
-		r.Record("dequeue", 3, 1, "key", "d")
+		r.Record("dequeue", 3, "key", "d")
 	}
 	var a, b bytes.Buffer
 	if err := r.Dump(&a); err != nil {
@@ -81,7 +81,7 @@ func TestFlightRecorderDumpDeterminism(t *testing.T) {
 		if i > 0 && ev.Seq != prev+1 {
 			t.Fatalf("line %d: seq %d after %d (want gapless ascending)", i, ev.Seq, prev)
 		}
-		if ev.AtNs != 42 || ev.Kind != "dequeue" || ev.Job != 3 || ev.Worker != 1 {
+		if ev.AtNs != 42 || ev.Kind != "dequeue" || ev.Job != 3 || ev.Key != "key" {
 			t.Fatalf("line %d: unexpected event %+v", i, ev)
 		}
 		prev = ev.Seq
@@ -100,7 +100,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
-				r.Record("step", g, i, "k", "")
+				r.Record("step", g, "k", "")
 			}
 		}(g)
 	}
@@ -140,7 +140,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 func TestFlightRecorderNilFree(t *testing.T) {
 	var r *FlightRecorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Record("step", 1, 2, "key", "")
+		r.Record("step", 1, "key", "")
 	})
 	if allocs != 0 {
 		t.Fatalf("nil FlightRecorder.Record allocates %.1f/op, want 0", allocs)

@@ -121,7 +121,7 @@ func TestStatuszStreamSSE(t *testing.T) {
 
 func TestFlightzAndQuit(t *testing.T) {
 	rec := NewFlightRecorder(16)
-	rec.Record("step", 1, 1, "k", "")
+	rec.Record("step", 1, "k", "")
 	quit := make(chan struct{})
 	mux := NewHTTPMux(nil, nil, rec, func() { close(quit) })
 

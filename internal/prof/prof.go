@@ -9,15 +9,14 @@
 //   - A *Profiler is the per-analysis aggregator. core.Options.Profiler
 //     carries it into the engine; nil means profiling is off.
 //   - The engine asks the profiler for a *Lanes: one private, dense
-//     []Counters buffer per lane (tid), indexed by CFG node ID. Recording
-//     is a plain (non-atomic) add into the caller's own lane — each lane
-//     is touched by exactly one goroutine, so there is no contention and
-//     no synchronization on the hot path.
+//     []Counters buffer indexed by CFG node ID. Recording is a plain
+//     (non-atomic) add — the lane is touched by exactly one goroutine, so
+//     there is no contention and no synchronization on the hot path.
 //   - All recording methods are nil-safe no-ops, so the disabled path is
 //     a single pointer check: 0 allocs/op, proven by
 //     BenchmarkProfilerDisabled (the analogue of BenchmarkTracerDisabled).
 //   - After the run quiesces, the engine commits the
-//     lanes: Commit merges every lane under the profiler's mutex and
+//     lane: Commit merges it under the profiler's mutex and
 //     resolves node → source span / kind / synthetic from the CFG.
 //
 // Reports render three ways: a heat-annotated source listing (text), a
@@ -36,7 +35,7 @@ import (
 )
 
 // Counters is the per-node event aggregate. All counts are totals across
-// workers after merge; Ns fields are cumulative wall nanoseconds.
+// committed analyses; Ns fields are cumulative wall nanoseconds.
 //
 // MatchNs includes the memo lookup; ProverNs is the subset of MatchNs
 // spent inside memo-missing HSM searches (read as deltas of the matcher's
@@ -97,44 +96,38 @@ type failKey struct {
 	old, new string
 }
 
-// Lanes is the engine-side recording surface: per-worker private counter
-// buffers. Obtain one via (*Profiler).NewLanes; a nil *Lanes (profiling
-// off) makes every method a no-op, so engine call sites need exactly one
+// Lanes is the engine-side recording surface: one private counter lane
+// indexed by CFG node ID, written only by the analysis goroutine that owns
+// it. Obtain one via (*Profiler).NewLanes; a nil *Lanes (profiling off)
+// makes every method a no-op, so engine call sites need exactly one
 // pointer check.
 type Lanes struct {
-	nodes int
-	lanes [][]Counters     // [tid][node]
-	fails [][]WidenFailure // [tid] appended details (rare path; alloc OK)
+	lane  []Counters     // [node]
+	fails []WidenFailure // appended details (rare path; alloc OK)
 }
 
-// NewLanes sizes a lane set for workers+1 tids (tid 0 is the sequential
-// engine / commit path) over nodes CFG nodes. Returns nil when p is nil.
-func (p *Profiler) NewLanes(workers, nodes int) *Lanes {
+// NewLanes sizes a lane over nodes CFG nodes. Returns nil when p is nil.
+func (p *Profiler) NewLanes(nodes int) *Lanes {
 	if p == nil {
 		return nil
 	}
-	l := &Lanes{nodes: nodes, lanes: make([][]Counters, workers+1)}
-	for i := range l.lanes {
-		l.lanes[i] = make([]Counters, nodes)
-	}
-	l.fails = make([][]WidenFailure, workers+1)
-	return l
+	return &Lanes{lane: make([]Counters, nodes)}
 }
 
-func (l *Lanes) at(tid, node int) *Counters {
-	if tid < 0 || tid >= len(l.lanes) || node < 0 || node >= l.nodes {
+func (l *Lanes) at(node int) *Counters {
+	if node < 0 || node >= len(l.lane) {
 		return nil
 	}
-	return &l.lanes[tid][node]
+	return &l.lane[node]
 }
 
 // Step records one engine step at node: elapsed wall time and the number
 // of successor configurations it spawned.
-func (l *Lanes) Step(tid, node int, ns int64, spawned int) {
+func (l *Lanes) Step(node int, ns int64, spawned int) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.Steps++
 		c.StepNs += ns
 		c.Spawned += int64(spawned)
@@ -144,11 +137,11 @@ func (l *Lanes) Step(tid, node int, ns int64, spawned int) {
 // Match records one client-matcher call attributed to node: elapsed time,
 // the match-memo miss delta, the prover search/time deltas, and whether
 // the matcher produced a plan.
-func (l *Lanes) Match(tid, node int, ns, memoMisses, proverSearches, proverNs int64, matched bool) {
+func (l *Lanes) Match(node int, ns, memoMisses, proverSearches, proverNs int64, matched bool) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.Matches++
 		if matched {
 			c.Matched++
@@ -162,11 +155,11 @@ func (l *Lanes) Match(tid, node int, ns, memoMisses, proverSearches, proverNs in
 
 // Combine records one revision combine at node: a join below the widening
 // rung, a widening at or above it.
-func (l *Lanes) Combine(tid, node int, widen bool) {
+func (l *Lanes) Combine(node int, widen bool) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		if widen {
 			c.Widenings++
 		} else {
@@ -177,37 +170,35 @@ func (l *Lanes) Combine(tid, node int, widen bool) {
 
 // WidenFail records a widening failure at node with the first failing
 // bound-expression pair (empty strings when unavailable).
-func (l *Lanes) WidenFail(tid, node int, oldBound, newBound string) {
+func (l *Lanes) WidenFail(node int, oldBound, newBound string) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.WidenFailures++
 	}
-	if tid >= 0 && tid < len(l.fails) {
-		l.fails[tid] = append(l.fails[tid], WidenFailure{
-			Node: node, OldBound: oldBound, NewBound: newBound, Count: 1,
-		})
-	}
+	l.fails = append(l.fails, WidenFailure{
+		Node: node, OldBound: oldBound, NewBound: newBound, Count: 1,
+	})
 }
 
 // GiveUp records a committed ⊤ give-up blamed on node.
-func (l *Lanes) GiveUp(tid, node int) {
+func (l *Lanes) GiveUp(node int) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.GiveUps++
 	}
 }
 
 // TopDemotion records a final-state ⊤ demotion (stale match witness)
 // blamed on node.
-func (l *Lanes) TopDemotion(tid, node int) {
+func (l *Lanes) TopDemotion(node int) {
 	if l == nil {
 		return
 	}
-	if c := l.at(tid, node); c != nil {
+	if c := l.at(node); c != nil {
 		c.TopDemotions++
 	}
 }
@@ -236,23 +227,24 @@ func New() *Profiler {
 	return &Profiler{fails: make(map[failKey]int64)}
 }
 
-// Commit merges every lane of l into the profiler and resolves node
-// metadata from g. The engine calls it once per analysis, after the run —
-// lanes are quiescent, so reading them unlocked is safe; the profiler's
-// own state is mutex-guarded.
+// Commit merges the lane l into the profiler and resolves node metadata
+// from g. The engine calls it once per analysis, after the run — the lane
+// is quiescent, so reading it unlocked is safe; the profiler's own state
+// is mutex-guarded.
 func (p *Profiler) Commit(g *cfg.Graph, l *Lanes) {
 	if p == nil || l == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.nodes) < l.nodes {
-		grown := make([]Counters, l.nodes)
+	nodes := len(l.lane)
+	if len(p.nodes) < nodes {
+		grown := make([]Counters, nodes)
 		copy(grown, p.nodes)
 		p.nodes = grown
-		p.info = make([]nodeInfo, l.nodes)
+		p.info = make([]nodeInfo, nodes)
 		for _, n := range g.Nodes {
-			if n.ID >= 0 && n.ID < l.nodes {
+			if n.ID >= 0 && n.ID < nodes {
 				p.info[n.ID] = nodeInfo{
 					kind:      n.Kind.String(),
 					label:     n.Label(),
@@ -262,22 +254,18 @@ func (p *Profiler) Commit(g *cfg.Graph, l *Lanes) {
 			}
 		}
 	}
-	for _, lane := range l.lanes {
-		for id := range lane {
-			if !lane[id].zero() || lane[id].MatchNs != 0 {
-				p.nodes[id].add(&lane[id])
-			}
+	for id := range l.lane {
+		if !l.lane[id].zero() || l.lane[id].MatchNs != 0 {
+			p.nodes[id].add(&l.lane[id])
 		}
 	}
-	for _, fs := range l.fails {
-		for _, f := range fs {
-			p.fails[failKey{f.Node, f.OldBound, f.NewBound}] += f.Count
-		}
+	for _, f := range l.fails {
+		p.fails[failKey{f.Node, f.OldBound, f.NewBound}] += f.Count
 	}
 	p.commits++
 }
 
-// Commits returns how many lane sets were merged (one per analysis run).
+// Commits returns how many lanes were merged (one per analysis run).
 func (p *Profiler) Commits() int {
 	if p == nil {
 		return 0

@@ -23,17 +23,17 @@ func testGraph() *cfg.Graph {
 
 func TestCommitMergesLanes(t *testing.T) {
 	p := New()
-	l := p.NewLanes(2, 4)
-	// Two lanes hitting the same node: totals must sum.
-	l.Step(0, 1, 100, 2)
-	l.Step(1, 1, 50, 1)
-	l.Match(2, 2, 300, 2, 1, 120, true)
-	l.Combine(0, 2, false)
-	l.Combine(1, 2, true)
-	l.WidenFail(1, 2, "np - 2", "np - 3")
-	l.WidenFail(0, 2, "np - 2", "np - 3")
-	l.GiveUp(0, 3)
-	l.TopDemotion(0, 3)
+	l := p.NewLanes(4)
+	// Two events at the same node: totals must sum.
+	l.Step(1, 100, 2)
+	l.Step(1, 50, 1)
+	l.Match(2, 300, 2, 1, 120, true)
+	l.Combine(2, false)
+	l.Combine(2, true)
+	l.WidenFail(2, "np - 2", "np - 3")
+	l.WidenFail(2, "np - 2", "np - 3")
+	l.GiveUp(3)
+	l.TopDemotion(3)
 	p.Commit(testGraph(), l)
 
 	r := p.Report("test.mpl", "a\nb\nc\n")
@@ -69,20 +69,21 @@ func TestCommitMergesLanes(t *testing.T) {
 }
 
 func TestLanesOutOfRangeSafe(t *testing.T) {
-	l := New().NewLanes(1, 2)
-	// Out-of-range tids and nodes must be dropped, not panic.
-	l.Step(-1, 0, 1, 1)
-	l.Step(9, 0, 1, 1)
-	l.Step(0, -1, 1, 1)
-	l.Step(0, 99, 1, 1)
-	l.GiveUp(7, 0)
+	l := New().NewLanes(2)
+	// Out-of-range nodes must be dropped, not panic.
+	l.Step(-1, 1, 1)
+	l.Step(99, 1, 1)
+	l.Match(2, 1, 0, 0, 0, true)
+	l.Combine(-3, true)
+	l.GiveUp(7)
+	l.TopDemotion(2)
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	p := New()
-	l := p.NewLanes(1, 4)
-	l.Step(0, 2, 1500, 1)
-	l.WidenFail(0, 2, "a", "b")
+	l := p.NewLanes(4)
+	l.Step(2, 1500, 1)
+	l.WidenFail(2, "a", "b")
 	p.Commit(testGraph(), l)
 	rep := p.Report("rt.mpl", "line one\nline two\n")
 
@@ -122,11 +123,11 @@ func TestReadJSONRejects(t *testing.T) {
 
 func TestListingAndFolded(t *testing.T) {
 	p := New()
-	l := p.NewLanes(1, 4)
-	l.Step(0, 1, 2000, 1)
-	l.Step(0, 2, 9000, 2)
-	l.Match(0, 2, 700, 1, 1, 300, true)
-	l.GiveUp(0, 3)
+	l := p.NewLanes(4)
+	l.Step(1, 2000, 1)
+	l.Step(2, 9000, 2)
+	l.Match(2, 700, 1, 1, 300, true)
+	l.GiveUp(3)
 	p.Commit(testGraph(), l)
 	rep := p.Report("x.mpl", "x = 1\nsend x\nrecv y\n")
 
