@@ -25,10 +25,14 @@
 package cg
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -969,6 +973,92 @@ func (g *Graph) String() string {
 		return "true"
 	}
 	return strings.Join(parts, "; ")
+}
+
+// Identity-key tags: the first byte AppendKey writes.
+const (
+	keyConsistent   = 'c'
+	keyInconsistent = 'i'
+)
+
+// keyPart is one constraint of a graph's identity key: x = y + c (eq) or
+// x <= y + c, over atoms. It is the binary twin of one String part.
+type keyPart struct {
+	x, y Atom
+	le   bool
+	c    int64
+}
+
+func compareKeyParts(a, b keyPart) int {
+	if c := cmp.Compare(a.x, b.x); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.y, b.y); c != 0 {
+		return c
+	}
+	if a.le != b.le {
+		if a.le {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(a.c, b.c)
+}
+
+// keyParts recycles AppendKey's part buffer.
+var keyParts = sync.Pool{New: func() any { s := make([]keyPart, 0, 64); return &s }}
+
+// AppendKey appends the graph's exact binary identity key to dst: two
+// graphs get equal keys exactly when their String renderings are equal.
+// It emits the same parts String renders — per slot pair i < j one
+// equality (oriented by slot order, ZeroVar moved to the right as
+// renderEq does) or one bound per finite direction — as atom ids and
+// varints, sorted by (x, y, kind, c) and count-prefixed. An inconsistent
+// graph is a single tag byte, as String is a single word. No names are
+// rendered and nothing is allocated beyond dst's growth.
+func (g *Graph) AppendKey(dst []byte) []byte {
+	if !g.consistent {
+		return append(dst, keyInconsistent)
+	}
+	pp := keyParts.Get().(*[]keyPart)
+	parts := (*pp)[:0]
+	atoms := g.s.atoms
+	n := len(atoms)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			up, down := g.s.get(i, j), g.s.get(j, i)
+			if up < Inf && down < Inf && down == -up {
+				x, y, c := atoms[i], atoms[j], up
+				if x == AtomZero {
+					x, y, c = y, x, -c
+				}
+				parts = append(parts, keyPart{x: x, y: y, c: c})
+				continue
+			}
+			if up < Inf {
+				parts = append(parts, keyPart{x: atoms[i], y: atoms[j], le: true, c: up})
+			}
+			if down < Inf {
+				parts = append(parts, keyPart{x: atoms[j], y: atoms[i], le: true, c: down})
+			}
+		}
+	}
+	slices.SortFunc(parts, compareKeyParts)
+	dst = append(dst, keyConsistent)
+	dst = binary.AppendUvarint(dst, uint64(len(parts)))
+	for _, p := range parts {
+		dst = binary.AppendUvarint(dst, uint64(p.x))
+		dst = binary.AppendUvarint(dst, uint64(p.y))
+		kind := byte('=')
+		if p.le {
+			kind = '<'
+		}
+		dst = append(dst, kind)
+		dst = binary.AppendVarint(dst, p.c)
+	}
+	*pp = parts[:0]
+	keyParts.Put(pp)
+	return dst
 }
 
 func renderEq(x, y string, c int64) string {

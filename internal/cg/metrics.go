@@ -22,8 +22,8 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, job string) {
 	counter("psdf_cg_joins_total", "constraint-graph join operations", s.Joins)
 	counter("psdf_cg_clones_avoided_total", "state clones avoided by copy-on-write", s.ClonesAvoided)
 	counter("psdf_cg_cow_materializations_total", "copy-on-write materializations (shared storage actually copied)", s.CoWMaterializations)
-	counter("psdf_cg_key_cache_hits_total", "shape-key cache hits", s.KeyCacheHits)
-	counter("psdf_cg_key_cache_misses_total", "shape-key cache misses", s.KeyCacheMisses)
+	counter("psdf_cg_key_cache_hits_total", "identity/shape-key cache hits", s.KeyCacheHits)
+	counter("psdf_cg_key_cache_misses_total", "identity/shape-key cache misses", s.KeyCacheMisses)
 	counter("psdf_cg_closure_ns_total", "nanoseconds spent in full closures", func() int64 { return int64(s.ClosureTime()) })
 	counter("psdf_cg_maintain_ns_total", "nanoseconds spent in incremental closure maintenance", func() int64 { return int64(s.MaintainTime()) })
 }

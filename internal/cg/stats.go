@@ -37,8 +37,9 @@ type Stats struct {
 	// sync.Pool vs freshly allocated.
 	arenaHits   atomic.Int64
 	arenaMisses atomic.Int64
-	// Canonical-key serializations served from the per-state cache vs
-	// rebuilt.
+	// State key builds (core.State's binary IdentityKey and its text
+	// ShapeKey) served from the per-state cache vs rebuilt. The text
+	// FullKey is uncached and not counted.
 	keyCacheHits   atomic.Int64
 	keyCacheMisses atomic.Int64
 }
@@ -70,11 +71,12 @@ func (s *Stats) ArenaHits() int64 { return s.arenaHits.Load() }
 // ArenaMisses returns how many matrix acquisitions had to allocate.
 func (s *Stats) ArenaMisses() int64 { return s.arenaMisses.Load() }
 
-// KeyCacheHits returns how many FullKey/ShapeKey requests were served from
-// the per-state key cache.
+// KeyCacheHits returns how many IdentityKey/ShapeKey requests were served
+// from the per-state key cache.
 func (s *Stats) KeyCacheHits() int64 { return s.keyCacheHits.Load() }
 
-// KeyCacheMisses returns how many FullKey/ShapeKey requests rebuilt the key.
+// KeyCacheMisses returns how many IdentityKey/ShapeKey requests rebuilt the
+// key.
 func (s *Stats) KeyCacheMisses() int64 { return s.keyCacheMisses.Load() }
 
 // KeyCacheHitRate returns the fraction of key requests served from cache.

@@ -20,10 +20,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/cg"
@@ -115,9 +117,9 @@ type State struct {
 	// the same element set) need no copy.
 	sharedMatches bool
 	sharedPending bool
-	// Canonical-key cache: FullKey/ShapeKey serializations are expensive
-	// (sorts plus a full constraint-graph rendering), and the engine asks
-	// for them on every table revisit. A cached key is valid while the
+	// Canonical-key cache: IdentityKey/ShapeKey serializations cost sorts
+	// plus a walk of the whole constraint graph, and the engine asks for
+	// them on every table revisit. A cached key is valid while the
 	// configuration content is unchanged: constraint-graph changes are
 	// tracked by (graph identity, graph version); Sets/Matches/Pending/Top
 	// changes by explicit dirtyKeys calls in the State-level mutators.
@@ -457,13 +459,45 @@ func copyBounds(g *cg.Graph, from, to string) {
 // ---------------------------------------------------------------------------
 // Canonical ordering, shape keys, alignment
 
-var psVarRe = regexp.MustCompile(`ps\d+\.`)
-
 // anonRangeKey renders a range with set prefixes erased, for stable
 // tie-breaking independent of set IDs.
 func anonRangeKey(s procset.Set) string {
-	return psVarRe.ReplaceAllString(s.String(), "ps.")
+	return eraseSetIDs(s.String())
 }
+
+// eraseSetIDs rewrites every "ps<digits>." in s to "ps.", scanning left to
+// right exactly as a leftmost, non-overlapping replace of the pattern
+// `ps\d+\.` would. Strings without a set prefix come back unchanged and
+// unallocated.
+func eraseSetIDs(s string) string {
+	var out []byte
+	done := 0 // s[:done] is already in out
+	for i := 0; i+3 < len(s); {
+		if s[i] != 'p' || s[i+1] != 's' || !isDigit(s[i+2]) {
+			i++
+			continue
+		}
+		k := i + 3
+		for k < len(s) && isDigit(s[k]) {
+			k++
+		}
+		if k == len(s) || s[k] != '.' {
+			// No match can start inside "s<digits>"; resume at s[k].
+			i = k
+			continue
+		}
+		out = append(out, s[done:i]...)
+		out = append(out, "ps."...)
+		i = k + 1
+		done = i
+	}
+	if out == nil {
+		return s
+	}
+	return string(append(out, s[done:]...))
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // sortCanonical orders sets by (CFG node, blocked, anonymized range).
 func (st *State) sortCanonical() {
@@ -482,8 +516,8 @@ func (st *State) sortCanonical() {
 	if inOrder {
 		return
 	}
-	// Ties on node ID need the anonymized range key, which runs a regexp
-	// replace — compute each at most once, not once per comparison.
+	// Ties on node ID need the anonymized range key, which renders the
+	// range — compute each at most once, not once per comparison.
 	keys := make(map[*ProcSet]string, len(st.Sets))
 	rangeKey := func(p *ProcSet) string {
 		k, ok := keys[p]
@@ -506,7 +540,7 @@ func (st *State) sortCanonical() {
 }
 
 // ShapeKey identifies the pCFG node this configuration occupies: the sorted
-// multiset of (CFG node, blocked) pairs.
+// multiset of (CFG node, blocked) pairs, e.g. "n3|n5*|p4shift".
 func (st *State) ShapeKey() string {
 	if st.Top {
 		return "TOP"
@@ -518,25 +552,45 @@ func (st *State) ShapeKey() string {
 	st.G.StatsHandle().AddKeyCacheMisses(1)
 	st.sortCanonical()
 	st.sortPending()
-	parts := make([]string, len(st.Sets))
+	b := make([]byte, 0, 8*(len(st.Sets)+len(st.Pending)))
 	for i, p := range st.Sets {
-		b := ""
-		if p.Blocked {
-			b = "*"
+		if i > 0 {
+			b = append(b, '|')
 		}
-		parts[i] = fmt.Sprintf("n%d%s", p.Node.ID, b)
+		b = append(b, 'n')
+		b = strconv.AppendInt(b, int64(p.Node.ID), 10)
+		if p.Blocked {
+			b = append(b, '*')
+		}
 	}
-	key := strings.Join(parts, "|")
 	for _, p := range st.Pending {
-		key += fmt.Sprintf("|p%d%s", p.Node, p.Shape)
+		b = append(b, "|p"...)
+		b = strconv.AppendInt(b, int64(p.Node), 10)
+		b = append(b, p.Shape.String()...)
 	}
+	key := string(b)
 	st.ckShape.store(key, st.G)
 	return key
 }
 
-// FullKey identifies the configuration including ranges, dataflow state and
-// matches; used for fixpoint detection.
-func (st *State) FullKey() string {
+// identityTag opens every binary identity key; ⊤ keys open with 'T' (they
+// are "TOP:"+why), so the two kinds never collide.
+const identityTag = 0
+
+// keyBufs recycles IdentityKey's build buffer; only the final string is
+// allocated.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// IdentityKey is the configuration's exact binary identity: two states get
+// equal identity keys exactly when their FullKeys are equal, so it decides
+// fixpoint convergence (the revision path's seen-set and before/after
+// compares) without rendering text. It encodes the same content FullKey
+// renders — canonically ordered sets with all range atoms, the constraint
+// graph (cg.Graph.AppendKey), the matches and the pending sends, each as
+// atom ids, varints and NUL-terminated expression keys behind counts. ⊤
+// states keep their text key. The key is cached against the graph
+// version like ShapeKey.
+func (st *State) IdentityKey() string {
 	if st.Top {
 		return "TOP:" + st.TopWhy
 	}
@@ -545,6 +599,50 @@ func (st *State) FullKey() string {
 		return st.ckFull.key
 	}
 	st.G.StatsHandle().AddKeyCacheMisses(1)
+	st.sortCanonical()
+	st.sortPending()
+	bp := keyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], identityTag)
+	b = binary.AppendUvarint(b, uint64(len(st.Sets)))
+	for _, p := range st.Sets {
+		b = p.Range.AppendKeyAll(b)
+		b = binary.AppendVarint(b, int64(p.Node.ID))
+		var flags byte
+		if p.Blocked {
+			flags |= 1
+		}
+		if p.Approx {
+			flags |= 2
+		}
+		b = append(b, flags)
+	}
+	b = st.G.AppendKey(b)
+	b = binary.AppendUvarint(b, uint64(len(st.Matches)))
+	for _, m := range st.Matches {
+		b = binary.AppendVarint(b, int64(m.SendNode))
+		b = m.Sender.AppendKey(b)
+		b = binary.AppendVarint(b, int64(m.RecvNode))
+		b = m.Receiver.AppendKey(b)
+	}
+	b = binary.AppendUvarint(b, uint64(len(st.Pending)))
+	for _, p := range st.Pending {
+		b = p.appendKey(b)
+	}
+	key := string(b)
+	*bp = b[:0]
+	keyBufs.Put(bp)
+	st.ckFull.store(key, st.G)
+	return key
+}
+
+// FullKey renders the configuration including ranges, dataflow state and
+// matches as text. It is not used for fixpoint detection (IdentityKey is,
+// and is equal exactly when FullKey is); it orders results, and tests and
+// debugging read it. Uncached: every call renders.
+func (st *State) FullKey() string {
+	if st.Top {
+		return "TOP:" + st.TopWhy
+	}
 	st.sortCanonical()
 	var b strings.Builder
 	for _, p := range st.Sets {
@@ -572,9 +670,7 @@ func (st *State) FullKey() string {
 		}
 		b.WriteString(";")
 	}
-	key := b.String()
-	st.ckFull.store(key, st.G)
-	return key
+	return b.String()
 }
 
 // AlignTo renames st's set IDs positionally onto ref's (both must share the

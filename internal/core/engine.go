@@ -274,14 +274,15 @@ type tableEntry struct {
 	// fire identically for any revision arrival order.
 	rev        int
 	widenParam string
-	// seen records the full keys of every state delivered to (or committed
+	// seen records the identity keys of every state delivered to (or committed
 	// on) this entry. The entry only ascends, so each of those states stays
 	// below it forever: a re-delivery with a key in this set is dropped
 	// before the combine runs.
 	// Beyond saving the combine, this keeps the widen rung reductive on
 	// duplicates (cg.Widen against an already-absorbed state is not a
 	// representation no-op, so without the filter duplicate traffic could
-	// advance the revision chain).
+	// advance the revision chain). Identity keys are equal exactly when
+	// the text FullKeys are, so the filter decides as a FullKey set would.
 	seen map[string]struct{}
 	// paramMints counts fresh widening parameters anchored at this key; a
 	// key that keeps needing new parameters is not converging.
@@ -336,6 +337,11 @@ type engine struct {
 	prof       *prof.Lanes
 	profMemo   *MatchMemo
 	profProver func() (searches, ns int64)
+
+	// onCombine, when non-nil, observes every canonicalized combine result
+	// in reviseEntry just before its identity key is compared with the
+	// entry's. Test hook (AnalyzeObservingCombines).
+	onCombine func(key string, st *State)
 }
 
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
@@ -440,11 +446,19 @@ func blameNode(st *State) int {
 
 // Analyze runs the pCFG dataflow analysis over the program's CFG.
 func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
+	e, err := newEngine(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.analyze(), nil
+}
+
+// newEngine validates opts and sets up one analysis run.
+func newEngine(g *cfg.Graph, opts Options) (*engine, error) {
 	if opts.Matcher == nil {
 		return nil, fmt.Errorf("core: Options.Matcher is required")
 	}
-	schedule, err := opts.schedule()
-	if err != nil {
+	if _, err := opts.schedule(); err != nil {
 		return nil, err
 	}
 	e := &engine{
@@ -470,6 +484,13 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 			e.profProver = func() (int64, int64) { return pp.ProverSearches(), pp.ProverSearchNs() }
 		}
 	}
+	return e, nil
+}
+
+// analyze runs the fixpoint and the finish post-pass.
+func (e *engine) analyze() *Result {
+	g, opts := e.g, e.opts
+	schedule, _ := opts.schedule() // validated by newEngine
 	// Pre-scan assume statements for global invariants (np = nrows*ncols
 	// etc.) so the HSM matcher has them from the start.
 	for _, n := range g.Nodes {
@@ -501,7 +522,7 @@ func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
 	if opts.Metrics != nil {
 		e.publishMetrics()
 	}
-	return e.res, nil
+	return e.res
 }
 
 // run is the fixpoint loop: pop an id, step the table state, insert the
@@ -592,8 +613,19 @@ func (e *engine) finish() {
 		}
 		finals = append(finals, fin)
 	}
+	// Order finals by their text FullKey, rendering each once.
+	keyed := make([]struct {
+		key string
+		st  *State
+	}, len(finals))
+	for i, fin := range finals {
+		keyed[i].key, keyed[i].st = fin.FullKey(), fin
+	}
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	for i := range keyed {
+		finals[i] = keyed[i].st
+	}
 	e.res.Finals = finals
-	sort.Slice(e.res.Finals, func(i, j int) bool { return e.res.Finals[i].FullKey() < e.res.Finals[j].FullKey() })
 	sort.Slice(e.res.Tops, func(i, j int) bool { return e.res.Tops[i].TopWhy < e.res.Tops[j].TopWhy })
 	e.res.Configs = len(e.table)
 	e.res.Steps = int(e.steps.Load())
@@ -762,7 +794,9 @@ func (e *engine) insert(fromKey string, st *State, action string) {
 		st.Release()
 		return
 	}
+	csp := e.span(obs.PhaseCanonicalize, "")
 	st.CanonicalizeParams()
+	csp.End()
 	key := st.ShapeKey()
 	if e.opts.onRevision != nil {
 		e.opts.onRevision(key, st.Clone())
@@ -804,8 +838,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		old.Release()
 		return true
 	}
-	fk := st.FullKey()
-	before := entry.st.FullKey()
+	ksp := e.span(obs.PhaseKey, key)
+	fk := st.IdentityKey()
+	before := entry.st.IdentityKey()
+	ksp.End()
 	if _, dup := entry.seen[fk]; dup || fk == before {
 		// fk == before matters when the entry was just created and seen is
 		// still empty: combining a state with itself is not a representation
@@ -840,8 +876,15 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		st.Release()
 		return true
 	}
+	nsp := e.span(obs.PhaseCanonicalize, key)
 	remap := widened.CanonicalizeParams()
-	after := widened.FullKey()
+	nsp.End()
+	if e.onCombine != nil {
+		e.onCombine(key, widened)
+	}
+	ksp = e.span(obs.PhaseKey, key)
+	after := widened.IdentityKey()
+	ksp.End()
 	if after == before {
 		// Absorbed without change: the ladder does not advance, and the
 		// canonicalization remap is dropped along with the discarded trial

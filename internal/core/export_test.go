@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/cfg"
+
 // Test-only exports: the arrival-order permutation suite lives in the
 // external core_test package (building real matchers needs the client
 // packages, which import core), so the pieces it drives — the revision
@@ -65,3 +67,20 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 		Terminal:    entry.st.Top || e.allAtExit(entry.st),
 	}
 }
+
+// AnalyzeObservingCombines is Analyze with a hook on the revision path:
+// fn observes every canonicalized combine result (the state whose
+// identity key reviseEntry compares with the entry's) before the compare.
+// fn must not mutate the state.
+func AnalyzeObservingCombines(g *cfg.Graph, opts Options, fn func(key string, st *State)) (*Result, error) {
+	e, err := newEngine(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.onCombine = fn
+	return e.analyze(), nil
+}
+
+// EraseSetIDs exposes the set-prefix eraser behind the canonical
+// tie-break keys.
+var EraseSetIDs = eraseSetIDs

@@ -101,6 +101,7 @@ func TestAnalyzeAllPhaseBreakdown(t *testing.T) {
 		}}
 	}
 	for _, parallelism := range []int{1, 2} {
+		keyed := false
 		for i, jr := range core.AnalyzeAll(jobs, parallelism) {
 			if jr.Err != nil {
 				t.Fatalf("parallelism=%d %s: %v", parallelism, jr.Name, jr.Err)
@@ -115,7 +116,16 @@ func TestAnalyzeAllPhaseBreakdown(t *testing.T) {
 			if jr.Phases[obs.PhaseStep.String()].Count == 0 {
 				t.Errorf("parallelism=%d %s: no step phase in breakdown", parallelism, jr.Name)
 			}
+			// Every insert canonicalizes; identity keys are built on
+			// revisits, which the looping shift program makes.
+			if jr.Phases[obs.PhaseCanonicalize.String()].Count == 0 {
+				t.Errorf("parallelism=%d %s: no canonicalize phase in breakdown", parallelism, jr.Name)
+			}
+			keyed = keyed || jr.Phases[obs.PhaseKey.String()].Count > 0
 			_ = i
+		}
+		if !keyed {
+			t.Errorf("parallelism=%d: no key phase in any breakdown", parallelism)
 		}
 	}
 	// A shared retaining tracer distinguishes jobs by pid.

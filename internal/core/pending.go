@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -70,6 +71,24 @@ func (p *PendingSend) String() string {
 	default:
 		return fmt.Sprintf("pend n%d %s->%s", p.Node, p.Senders, p.Dests)
 	}
+}
+
+// appendKey appends the record's share of State.IdentityKey: exactly what
+// String plus FullKey's "=val" suffix show — the node, the shape, the
+// senders, then the offset (shift) or the destinations (fan), then the
+// payload when ValOK.
+func (p *PendingSend) appendKey(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(p.Node))
+	dst = p.Senders.AppendKey(dst)
+	if p.Shape == PendShift {
+		dst = append(p.Offset.AppendKey(append(dst, 's')), 0)
+	} else {
+		dst = p.Dests.AppendKey(append(dst, 'f'))
+	}
+	if !p.ValOK {
+		return append(dst, 0)
+	}
+	return append(p.Val.AppendKey(append(dst, 1)), 0)
 }
 
 // clonePendings deep-copies a pending list.

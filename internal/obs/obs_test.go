@@ -38,6 +38,28 @@ func TestPhaseNamesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPhaseTaxonomy pins the phase names and their order: trace files,
+// metrics and bench records name phases by these strings, and "analyze"
+// stays last so per-job breakdowns can skip the enclosing span.
+func TestPhaseTaxonomy(t *testing.T) {
+	want := []string{
+		"step", "transfer", "match", "split", "insert",
+		"join", "widen", "enrich", "giveup-commit", "finish", "prover",
+		"key", "canonicalize", "analyze",
+	}
+	if numPhases != len(want) {
+		t.Fatalf("numPhases = %d, want %d", numPhases, len(want))
+	}
+	for i, name := range want {
+		if got := Phase(i).String(); got != name {
+			t.Errorf("phase %d = %q, want %q", i, got, name)
+		}
+	}
+	if PhaseKey.String() != "key" || PhaseCanonicalize.String() != "canonicalize" || PhaseAnalyze.String() != "analyze" {
+		t.Error("phase constants out of step with their names")
+	}
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() || tr.Retaining() {

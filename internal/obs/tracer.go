@@ -63,6 +63,14 @@ const (
 	// PhaseProver is one HSM prover search (SeqEqual/SetEqual on a memo
 	// miss); the span detail records the rewrite steps explored.
 	PhaseProver
+	// PhaseKey is building configuration identity keys on the revision
+	// path (State.IdentityKey for the incoming, current and combined
+	// states inside an insert).
+	PhaseKey
+	// PhaseCanonicalize is putting a configuration into canonical form
+	// before it is keyed: set ordering and helper-parameter renaming
+	// (CanonicalizeParams), on insert and after each combine.
+	PhaseCanonicalize
 	// PhaseAnalyze is one whole analysis job (AnalyzeAll wraps each job in
 	// an analyze span; everything else nests inside it).
 	PhaseAnalyze
@@ -72,7 +80,8 @@ const (
 
 var phaseNames = [numPhases]string{
 	"step", "transfer", "match", "split", "insert",
-	"join", "widen", "enrich", "giveup-commit", "finish", "prover", "analyze",
+	"join", "widen", "enrich", "giveup-commit", "finish", "prover",
+	"key", "canonicalize", "analyze",
 }
 
 func (p Phase) String() string {

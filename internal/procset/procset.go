@@ -6,6 +6,7 @@
 package procset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -632,13 +633,61 @@ func (s Set) String() string {
 	if !s.IsValid() {
 		return "[invalid]"
 	}
-	if len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && s.LB.atoms[0].CompareKey(s.UB.atoms[0]) == 0 {
+	if s.singleAtom() {
 		return fmt.Sprintf("[%s]", s.LB)
 	}
 	return fmt.Sprintf("[%s..%s]", s.LB, s.UB)
 }
 
+// singleAtom reports whether both bounds are the same lone atom: the sets
+// String renders as "[e]".
+func (s Set) singleAtom() bool {
+	return len(s.LB.atoms) == 1 && len(s.UB.atoms) == 1 && s.LB.atoms[0].CompareKey(s.UB.atoms[0]) == 0
+}
+
 // StringAll renders both bounds with all atoms.
 func (s Set) StringAll() string {
 	return fmt.Sprintf("[%s..%s]", s.LB.StringAll(), s.UB.StringAll())
+}
+
+// Identity-key tags for AppendKey, one per String form.
+const (
+	keyInvalid   = 'x' // "[invalid]"
+	keySingleton = 's' // "[e]"
+	keyRange     = 'r' // "[lb..ub]"
+)
+
+// appendAtom appends one atom's canonical key and a NUL terminator (no
+// variable name contains NUL, so the concatenation stays decodable).
+func appendAtom(dst []byte, e sym.Expr) []byte {
+	return append(e.AppendKey(dst), 0)
+}
+
+// AppendKey appends a binary identity key that is equal for two sets
+// exactly when their String renderings are: every invalid set shares one
+// tag, a set whose bounds are one identical atom is a singleton, and
+// anything else is its two Primary atoms — the atoms String shows.
+func (s Set) AppendKey(dst []byte) []byte {
+	switch {
+	case !s.IsValid():
+		return append(dst, keyInvalid)
+	case s.singleAtom():
+		return appendAtom(append(dst, keySingleton), s.LB.atoms[0])
+	}
+	dst = appendAtom(append(dst, keyRange), s.LB.Primary())
+	return appendAtom(dst, s.UB.Primary())
+}
+
+// AppendKeyAll appends a binary identity key that is equal for two sets
+// exactly when their StringAll renderings are: each bound's atoms in
+// stored order behind a count (0 for an empty bound, which StringAll
+// shows as "?").
+func (s Set) AppendKeyAll(dst []byte) []byte {
+	for _, b := range [2]Bound{s.LB, s.UB} {
+		dst = binary.AppendUvarint(dst, uint64(len(b.atoms)))
+		for _, a := range b.atoms {
+			dst = appendAtom(dst, a)
+		}
+	}
+	return dst
 }

@@ -304,9 +304,11 @@ func (e Expr) Key() string {
 	return b.String()
 }
 
-// appendKey renders e.Key() into dst byte-for-byte (the canonical
-// "coef*var*var|..." form) without the string conversion.
-func (e Expr) appendKey(dst []byte) []byte {
+// AppendKey renders e.Key() into dst byte-for-byte (the canonical
+// "coef*var*var|..." form) without the string conversion. Distinct normal
+// forms render distinct keys, so callers building composite identity keys
+// can embed it after a terminator byte that no variable name contains.
+func (e Expr) AppendKey(dst []byte) []byte {
 	if len(e.terms) == 0 {
 		return append(dst, '0')
 	}
@@ -331,9 +333,9 @@ var keyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &
 // atom-set operations run in their inner loops.
 func (e Expr) CompareKey(o Expr) int {
 	bp := keyScratch.Get().(*[]byte)
-	buf := e.appendKey((*bp)[:0])
+	buf := e.AppendKey((*bp)[:0])
 	n := len(buf)
-	buf = o.appendKey(buf)
+	buf = o.AppendKey(buf)
 	c := bytes.Compare(buf[:n], buf[n:])
 	*bp = buf[:0]
 	keyScratch.Put(bp)
@@ -596,7 +598,48 @@ func (e Expr) String() string {
 }
 
 // Cmp compares two constant differences: it returns the constant value of
-// a-b if that difference is constant.
+// a-b if that difference is constant. It agrees with Sub(a, b).IsConst()
+// (wrapping arithmetic included) but merges the two normal forms in place:
+// every non-constant monomial must cancel against an equal one on the
+// other side, so nothing is allocated.
 func Cmp(a, b Expr) (int64, bool) {
-	return Sub(a, b).IsConst()
+	var d int64
+	i, j := 0, 0
+	for i < len(a.terms) || j < len(b.terms) {
+		var c int
+		switch {
+		case i == len(a.terms):
+			c = 1
+		case j == len(b.terms):
+			c = -1
+		default:
+			c = compareMonomials(a.terms[i].vars, b.terms[j].vars)
+		}
+		switch {
+		case c < 0:
+			t := a.terms[i]
+			i++
+			if len(t.vars) > 0 {
+				return 0, false
+			}
+			d += t.coef
+		case c > 0:
+			t := b.terms[j]
+			j++
+			if len(t.vars) > 0 {
+				return 0, false
+			}
+			d -= t.coef
+		default:
+			ta, tb := a.terms[i], b.terms[j]
+			i++
+			j++
+			if len(ta.vars) == 0 {
+				d += ta.coef - tb.coef
+			} else if ta.coef != tb.coef {
+				return 0, false
+			}
+		}
+	}
+	return d, true
 }
