@@ -82,7 +82,9 @@
 //	-metrics-out f.prom          metrics registry in Prometheus text after the
 //	                             run ("-" for stdout)
 //	-http addr                   serve /metrics, /statusz, /statusz/stream,
-//	                             /flightz and /debug/pprof during the run
+//	                             /flightz and /debug/pprof during the run;
+//	                             CPU profiles carry pprof goroutine labels
+//	                             (psdf_job, psdf_phase)
 //	-http-linger                 keep serving after the analyses finish
 //	                             (POST /quitquitquit to exit)
 //	-stall-timeout d             per-analysis no-progress watchdog; firing
@@ -90,7 +92,6 @@
 //	-stall-dump f                flight-recorder dump file (default stderr)
 //	-force-stall                 hold each analysis open until its watchdog
 //	                             fires (smoke-tests the stall path)
-//	-pprof-labels                pprof goroutine labels (job, phase)
 //	-profile-out p.json          source-attribution profile of every program
 //	                             as psdf-profile/1 JSON (render with
 //	                             `psdf profile`)
@@ -205,7 +206,7 @@ type analyzeConfig struct {
 	httpLinger                bool
 	stallTO                   time.Duration
 	stallDump                 string
-	forceStall, pprofLabels   bool
+	forceStall                bool
 	log                       *logFlags
 }
 
@@ -226,12 +227,11 @@ func runAnalyze(args []string) int {
 	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome trace-event `file` (Perfetto-loadable; summarize it with psdf trace) and print each program's phase breakdown")
 	fs.StringVar(&c.traceJSONL, "trace-jsonl", "", "write the span trace as JSON lines")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the metrics registry (Prometheus text) to this file after the run (- for stdout)")
-	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux (/metrics, /statusz, /statusz/stream, /flightz, /debug/pprof) on this address during the run")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the introspection mux (/metrics, /statusz, /statusz/stream, /flightz, /debug/pprof with job/phase goroutine labels) on this address during the run")
 	fs.BoolVar(&c.httpLinger, "http-linger", false, "with -http: keep the listener serving after the analyses finish (POST /quitquitquit to exit)")
 	fs.DurationVar(&c.stallTO, "stall-timeout", 0, "per-analysis no-progress watchdog deadline (0 disables); firing dumps the flight recorder")
 	fs.StringVar(&c.stallDump, "stall-dump", "", "write flight-recorder dumps to this file (default stderr)")
 	fs.BoolVar(&c.forceStall, "force-stall", false, "hold each analysis open until its stall watchdog fires (smoke-tests the stall path; requires -stall-timeout)")
-	fs.BoolVar(&c.pprofLabels, "pprof-labels", false, "attach pprof goroutine labels (job, phase) to analysis goroutines and the HSM prover")
 	fs.StringVar(&c.profileOut, "profile-out", "", "profile every analysis and write the psdf-profile/1 JSON report to `file` (render it with psdf profile)")
 	c.log = addLogFlags(fs)
 	fs.Usage = func() {
@@ -278,7 +278,7 @@ func analyze(paths []string, c analyzeConfig) int {
 		Log:              c.log.logger(),
 		StallTimeout:     c.stallTO,
 		ForceStall:       c.forceStall,
-		ProfileLabels:    c.pprofLabels,
+		ProfileLabels:    c.httpAddr != "", // labels are visible only through -http's /debug/pprof
 	}
 	jobs, err := newJobs(progs, c.client, opts)
 	if err != nil {
@@ -300,27 +300,10 @@ func analyze(paths []string, c analyzeConfig) int {
 		if c.profileOut != "" {
 			jo.Profiler = prof.New()
 		}
-		laneNames[i+1] = progs[i].path
-		if m, ok := jo.Matcher.(*cartesian.Matcher); ok {
-			// AnalyzeAll gives job i trace pid i+1.
-			m.SetObs(o.tracer, i+1)
-			m.Prover().ProfileLabels = c.pprofLabels
-			if o.reg != nil {
-				core.RegisterMatchMemoMetrics(o.reg, m.Memo(), progs[i].path)
-			}
-		}
+		laneNames[i+1] = progs[i].path // AnalyzeAll runs job i as job id i+1
 	}
 
 	results := core.AnalyzeAll(jobs, c.parallel)
-	if o.tracer != nil {
-		// With one retaining tracer shared across jobs, each JobResult's
-		// Phases snapshots the shared totals; recover per-job breakdowns
-		// from the retained events instead.
-		byPid := obs.TotalsByPid(o.tracer.Events())
-		for i := range results {
-			results[i].Phases = byPid[i+1]
-		}
-	}
 	exit := 0
 	for i, jr := range results {
 		header(progs, progs[i])

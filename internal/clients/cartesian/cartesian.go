@@ -95,13 +95,15 @@ func (m *Matcher) ProverSearches() int64 { return m.prover.Searches.Load() }
 // searches, in nanoseconds. Concurrency-safe like ProverSearches.
 func (m *Matcher) ProverSearchNs() int64 { return m.prover.SearchNs.Load() }
 
-// SetObs attaches an observability tracer to the matcher's HSM prover:
-// searches that miss the memo emit obs.PhaseProver spans on the prover lane
-// of job pid. Call before the analysis starts (the prover is otherwise
-// only touched under proveMu).
-func (m *Matcher) SetObs(tr *obs.Tracer, pid int) {
-	m.prover.Tracer = tr
-	m.prover.TracePID = pid
+// SetObs hands the HSM prover an analysis's observation settings: with a
+// tracer, searches that miss the memo emit obs.PhaseProver spans on the
+// prover lane of job; profileLabels attaches the prover pprof label. The
+// engine calls it at the start of every analysis (the prover capability
+// core asserts, with ProverSearches and ProverSearchNs).
+func (m *Matcher) SetObs(tr *obs.Tracer, job int, profileLabels bool) {
+	m.proveMu.Lock()
+	defer m.proveMu.Unlock()
+	m.prover.Tracer, m.prover.TracePID, m.prover.ProfileLabels = tr, job, profileLabels
 }
 
 // SimpleMatches reports how many matches the embedded Section VII matcher

@@ -19,8 +19,9 @@ import (
 // cg.Stats is (atomic counters, so one Stats may aggregate a whole suite),
 // but Matchers keep plain instrumentation counters and memo tables, so each
 // Job needs its own Matcher instance. The obs types are race-safe, so one
-// Tracer or Registry may be shared across jobs (TracePID keeps their spans
-// and series apart).
+// Tracer, Registry, ProgressTracker or FlightRecorder may be shared across
+// jobs: AnalyzeAll owns job identity, running job i as job id i+1 labelled
+// with its Name, which keeps their spans, series and events apart.
 
 // Job is one unit of work for AnalyzeAll: a CFG plus the analysis options
 // to run it with.
@@ -41,10 +42,11 @@ type JobResult struct {
 	Err  error
 	// Wall is the job's wall-clock analysis time (the analyze span).
 	Wall time.Duration
-	// Phases is the per-phase time/count breakdown of this job's run. When
-	// the caller supplied a shared Opts.Tracer the breakdown covers the
-	// whole tracer (all jobs); otherwise AnalyzeAll installs a private
-	// aggregate tracer per job and the breakdown is exactly this job's.
+	// Phases is the per-phase time/count breakdown of this job's run. With
+	// no Opts.Tracer AnalyzeAll installs a private aggregate tracer per
+	// job; with a shared retaining tracer it splits the retained events by
+	// job id. A shared aggregate-only tracer keeps no per-job split, so
+	// Phases is nil then.
 	Phases obs.PhaseTotals
 }
 
@@ -53,9 +55,9 @@ type JobResult struct {
 // runtime.NumCPU(); parallelism == 1 degenerates to a sequential loop with
 // identical results.
 //
-// Jobs with Opts.TracePID == 0 get input position + 1, so spans and metric
-// series from different jobs stay distinguishable in a shared tracer or
-// registry.
+// Job i runs as job id i+1 (its trace pid, metric label and progress key),
+// so spans and series from different jobs stay distinguishable in a shared
+// tracer or registry.
 func AnalyzeAll(jobs []Job, parallelism int) []JobResult {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
@@ -67,49 +69,58 @@ func AnalyzeAll(jobs []Job, parallelism int) []JobResult {
 	run := func(i int) {
 		j := jobs[i]
 		opts := j.Opts
-		if opts.TracePID == 0 {
-			opts.TracePID = i + 1
-		}
-		if opts.Name == "" {
-			opts.Name = j.Name
-		}
-		tr := opts.Tracer
-		perJob := tr == nil
-		if perJob {
+		job := i + 1
+		private := opts.Tracer == nil
+		if private {
 			// Aggregate-only tracer: phase totals for the result breakdown
 			// at near-zero cost, no event retention.
-			tr = obs.NewAggregate()
-			opts.Tracer = tr
+			opts.Tracer = obs.NewAggregate()
 		}
-		sp := tr.Begin(opts.TracePID, 0, obs.PhaseAnalyze, j.Name)
-		res, err := Analyze(j.G, opts)
+		sp := opts.Tracer.Begin(job, 0, obs.PhaseAnalyze, j.Name)
+		res, err := analyzeJob(j.G, opts, job, j.Name)
 		wall := sp.End()
 		if err != nil && opts.Log != nil {
-			opts.Log.Error("analysis failed", "job", opts.TracePID, "name", j.Name, "err", err)
+			opts.Log.Error("analysis failed", "job", job, "name", j.Name, "err", err)
 		}
-		results[i] = JobResult{Name: j.Name, Res: res, Err: err, Wall: wall, Phases: tr.Totals()}
+		results[i] = JobResult{Name: j.Name, Res: res, Err: err, Wall: wall}
+		if private {
+			results[i].Phases = opts.Tracer.Totals()
+		}
 	}
 	if parallelism <= 1 {
 		for i := range jobs {
 			run(i)
 		}
-		return results
+	} else {
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(parallelism)
+		for w := 0; w < parallelism; w++ {
+			go func() {
+				defer wg.Done()
+				for i := range idx {
+					run(i)
+				}
+			}()
+		}
+		for i := range jobs {
+			idx <- i
+		}
+		close(idx)
+		wg.Wait()
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run(i)
-			}
-		}()
-	}
+	// Jobs on a caller's retaining tracer get their breakdown from its
+	// events, split by job id once per tracer.
+	split := map[*obs.Tracer]map[int]obs.PhaseTotals{}
 	for i := range jobs {
-		idx <- i
+		tr := jobs[i].Opts.Tracer
+		if !tr.Retaining() {
+			continue
+		}
+		if split[tr] == nil {
+			split[tr] = obs.TotalsByPid(tr.Events())
+		}
+		results[i].Phases = split[tr][i+1]
 	}
-	close(idx)
-	wg.Wait()
 	return results
 }

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,38 +63,36 @@ type Options struct {
 	// accumulate in Result.CommBounds (for the lint rank-bounds pass). Off
 	// by default — the checks cost extra entailment queries per comm site.
 	RecordCommBounds bool
+	// The observation consumers below are opt-in and only observe: results
+	// are byte-identical with any of them on, and with all of them unset
+	// every engine event costs one pointer check. The engine emits each
+	// event once into its observer (observe.go), which feeds them all.
+	// Several analyses may share one Tracer, Metrics, Progress or
+	// FlightRecorder: AnalyzeAll runs job i as job id i+1 (a direct Analyze
+	// runs as job 0), which keys their spans, series, snapshots and events.
+
 	// Tracer receives a span per engine phase (step, transfer, match,
-	// split, insert, join, widen, give-up commit, finish) when non-nil.
-	// Tracing only observes — results are byte-identical with it on or off
-	// — and the nil default costs nothing.
+	// split, insert, key, canonicalize, join, widen, enrich, give-up commit,
+	// finish), and the matcher's prover spans when the matcher has a prover.
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, receives the engine's counters and gauges:
-	// final step/widening/config counts, interned-key count and the
-	// worklist queue-depth high-water mark.
+	// Metrics receives the engine's final counters and gauges (step,
+	// widening and config counts, interned keys, the worklist queue-depth
+	// high-water mark, the cg.Stats series) and live match-memo series.
 	Metrics *obs.Registry
-	// TracePID labels this analysis's spans and metric series when several
-	// jobs share one tracer or registry (AnalyzeAll assigns input position
-	// + 1 when zero).
-	TracePID int
-	// Name labels this analysis in structured logs, progress snapshots and
-	// pprof labels (AnalyzeAll copies the Job name when empty).
-	Name string
-	// Log, when non-nil, receives the engine's structured lifecycle events
-	// (start, convergence, stall, budget exhaustion) with per-analysis
-	// attributes. Nil disables logging at the cost of one pointer check.
+	// Log receives the engine's structured lifecycle events (start,
+	// convergence, stall, budget exhaustion) with per-analysis attributes.
 	Log *slog.Logger
-	// Progress, when non-nil, receives this analysis's live progress
-	// sampler (and, after convergence, its final snapshot) keyed by
-	// TracePID — the backing store of the /statusz surface. Sampling reads
-	// only atomics and mutex-protected counters, so it never stalls the
-	// fixpoint.
+	// Progress receives this analysis's live progress sampler and, after
+	// convergence, its final snapshot — the backing store of /statusz.
+	// Sampling reads only atomics and mutex-protected counters, so it never
+	// stalls the fixpoint.
 	Progress *obs.ProgressTracker
-	// FlightRecorder, when non-nil, continuously records recent step and
-	// give-up events into a bounded ring buffer for post-mortem dumps
-	// (stall watchdog, step-budget abort).
+	// FlightRecorder continuously records recent step, combine and give-up
+	// events into a bounded ring buffer for post-mortem dumps (stall
+	// watchdog, step-budget abort).
 	FlightRecorder *obs.FlightRecorder
 	// StallTimeout, when positive, arms a no-progress watchdog over the
-	// fixpoint: if steps, widenings and configuration discovery all stand
+	// analysis: if steps, widenings and configuration discovery all stand
 	// still for this long, the watchdog logs the stall and dumps the
 	// flight recorder to StallDump. Observation only — the run continues.
 	StallTimeout time.Duration
@@ -103,25 +100,20 @@ type Options struct {
 	// write) when the watchdog fires or the step budget aborts the run.
 	StallDump io.Writer
 	// ForceStall pins the watchdog's progress reading to zero and holds
-	// the (converged) run open until the watchdog fires: the deterministic
+	// the converged run open until the watchdog fires: the deterministic
 	// smoke path for the stall machinery. Requires StallTimeout > 0.
 	ForceStall bool
 	// ProfileLabels attaches runtime/pprof goroutine labels (psdf_job,
-	// psdf_phase) to the fixpoint and the finish post-pass, so CPU profiles
-	// attribute samples per analysis and phase.
+	// psdf_phase) to the fixpoint, the finish post-pass and the matcher's
+	// prover searches, so CPU profiles attribute samples per analysis and
+	// phase.
 	ProfileLabels bool
-	// Profiler, when non-nil, collects the source-attribution profile:
-	// per-CFG-node step time, spawned configurations, matcher/memo/prover
-	// cost, joins, widenings and their failing bound pairs, give-ups and ⊤
-	// demotions. The engine records into a private lane (no hot-path
-	// synchronization) and commits it into the profiler once, after
-	// convergence. Nil costs one pointer check.
+	// Profiler collects the source-attribution profile: per-CFG-node step
+	// time, spawned configurations, matcher/memo/prover cost, joins,
+	// widenings and their failing bound pairs, give-ups and ⊤ demotions.
+	// The engine records into a private lane (no hot-path synchronization)
+	// and commits it into the profiler once, after convergence.
 	Profiler *prof.Profiler
-	// onRevision, when non-nil, observes every canonicalized successor
-	// state the engine delivers to the configuration table,
-	// keyed by shape. Recording hook for the arrival-order permutation
-	// suite (installed via WithRevisionHook in tests).
-	onRevision func(key string, st *State)
 }
 
 func (o *Options) joinVisits() int {
@@ -300,7 +292,7 @@ type tableEntry struct {
 // engine is one analysis run. The fixpoint runs on the calling goroutine;
 // the fields other goroutines read while it runs — the progress sampler
 // and the stall watchdog — are the interner (lock-protected) and the
-// steps/widenings/giveUps atomics.
+// steps/widenings atomics.
 type engine struct {
 	g    *cfg.Graph
 	opts Options
@@ -312,10 +304,7 @@ type engine struct {
 	nParam    int64
 	steps     atomic.Int64
 	widenings atomic.Int64
-	giveUps   atomic.Int64
 	budgetHit bool
-	started   time.Time
-	dumpOnce  sync.Once
 	// visited marks CFG nodes some non-empty process set was positioned at
 	// in a reachable configuration (indexed by node ID; used by the
 	// dead-code lint pass).
@@ -327,97 +316,28 @@ type engine struct {
 	inWork  map[uint64]bool
 	depthHW int // queue-depth high-water mark
 
-	// Source-attribution profiler (nil when Options.Profiler is nil): a
-	// private counter lane merged into Options.Profiler once, after
-	// convergence. profMemo/profProver expose the matcher's cumulative
-	// memo-miss and prover-search counters so per-callsite deltas can be
-	// attributed; both are optional client capabilities discovered by
-	// interface assertion (keeping core free of a client/hsm dependency,
-	// same pattern as sampleProgress).
-	prof       *prof.Lanes
-	profMemo   *MatchMemo
-	profProver func() (searches, ns int64)
+	// ob receives every observation event (nil when nothing observes).
+	ob *observer
 
-	// onCombine, when non-nil, observes every canonicalized combine result
-	// in reviseEntry just before its identity key is compared with the
-	// entry's. Test hook (AnalyzeObservingCombines).
-	onCombine func(key string, st *State)
+	// Test hooks (AnalyzeObserving). onRevision observes a private clone
+	// of every canonicalized successor state delivered to the table, keyed
+	// by shape; onCombine observes every canonicalized combine result in
+	// reviseEntry just before its identity key is compared with the
+	// entry's.
+	onRevision func(key string, st *State)
+	onCombine  func(key string, st *State)
 }
 
 func (e *engine) stats() *cg.Stats { return e.opts.CGOpts.Stats }
 
-// span opens a phase span on this analysis's trace lane (tid 0). Free when
-// Options.Tracer is nil.
-func (e *engine) span(ph obs.Phase, key string) obs.Span {
-	return e.opts.Tracer.Begin(e.opts.TracePID, 0, ph, key)
-}
-
 // enrich expands every bound of the given states with constraint-graph
 // equality witnesses, inside one enrich span.
 func (e *engine) enrich(sts ...*State) {
-	sp := e.span(obs.PhaseEnrich, "")
+	sp := e.ob.span(obs.PhaseEnrich, "")
 	for _, st := range sts {
 		st.EnrichEverywhere()
 	}
 	sp.End()
-}
-
-// profNow reads the clock only when profiling is on; the zero time is the
-// disabled sentinel consumed by profStep.
-func (e *engine) profNow() time.Time {
-	if e.prof == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// profStep records one step event against node on the caller's lane.
-func (e *engine) profStep(node int, t0 time.Time, spawned int) {
-	if e.prof == nil {
-		return
-	}
-	e.prof.Step(node, time.Since(t0).Nanoseconds(), spawned)
-}
-
-// matchProbe captures the matcher-shared counters around one Matcher call
-// so the deltas can be attributed to the calling site. A stack value: the
-// disabled path allocates nothing and costs one pointer check per end.
-type matchProbe struct {
-	t0       time.Time
-	misses   int
-	searches int64
-	proverNs int64
-}
-
-func (e *engine) profMatchStart() matchProbe {
-	if e.prof == nil {
-		return matchProbe{}
-	}
-	var pr matchProbe
-	if e.profMemo != nil {
-		pr.misses = e.profMemo.MissCount()
-	}
-	if e.profProver != nil {
-		pr.searches, pr.proverNs = e.profProver()
-	}
-	pr.t0 = time.Now()
-	return pr
-}
-
-func (e *engine) profMatchEnd(node int, pr matchProbe, matched bool) {
-	if e.prof == nil {
-		return
-	}
-	ns := time.Since(pr.t0).Nanoseconds()
-	var misses, searches, proverNs int64
-	if e.profMemo != nil {
-		misses = int64(e.profMemo.MissCount() - pr.misses)
-	}
-	if e.profProver != nil {
-		s, n := e.profProver()
-		searches, proverNs = s-pr.searches, n-pr.proverNs
-	}
-	e.prof.Match(node, ns, misses, searches, proverNs, matched)
 }
 
 // blameNode picks a deterministic attribution node for combine events:
@@ -444,24 +364,31 @@ func blameNode(st *State) int {
 	return 0
 }
 
-// Analyze runs the pCFG dataflow analysis over the program's CFG.
+// Analyze runs the pCFG dataflow analysis over the program's CFG, as job
+// 0 (AnalyzeAll numbers its jobs from 1).
 func Analyze(g *cfg.Graph, opts Options) (*Result, error) {
-	e, err := newEngine(g, opts)
+	return analyzeJob(g, opts, 0, "")
+}
+
+// analyzeJob runs one analysis as job id job labelled name.
+func analyzeJob(g *cfg.Graph, opts Options, job int, name string) (*Result, error) {
+	e, err := newEngine(g, opts, job, name)
 	if err != nil {
 		return nil, err
 	}
 	return e.analyze(), nil
 }
 
-// newEngine validates opts and sets up one analysis run.
-func newEngine(g *cfg.Graph, opts Options) (*engine, error) {
+// newEngine validates opts and sets up one analysis run as job id job
+// labelled name.
+func newEngine(g *cfg.Graph, opts Options, job int, name string) (*engine, error) {
 	if opts.Matcher == nil {
 		return nil, fmt.Errorf("core: Options.Matcher is required")
 	}
 	if _, err := opts.schedule(); err != nil {
 		return nil, err
 	}
-	e := &engine{
+	return &engine{
 		g:       g,
 		opts:    opts,
 		in:      newInterner(),
@@ -470,21 +397,8 @@ func newEngine(g *cfg.Graph, opts Options) (*engine, error) {
 		res:     &Result{},
 		visited: make([]bool, len(g.Nodes)),
 		obsSeen: map[string]bool{},
-		started: time.Now(),
-	}
-	if opts.Profiler != nil {
-		e.prof = opts.Profiler.NewLanes(len(g.Nodes))
-		if mp, ok := opts.Matcher.(interface{ Memo() *MatchMemo }); ok {
-			e.profMemo = mp.Memo()
-		}
-		if pp, ok := opts.Matcher.(interface {
-			ProverSearches() int64
-			ProverSearchNs() int64
-		}); ok {
-			e.profProver = func() (int64, int64) { return pp.ProverSearches(), pp.ProverSearchNs() }
-		}
-	}
-	return e, nil
+		ob:      newObserver(g, &opts, job, name),
+	}, nil
 }
 
 // analyze runs the fixpoint and the finish post-pass.
@@ -502,26 +416,10 @@ func (e *engine) analyze() *Result {
 	init.SetAssignedVars(assignedVars(g))
 	InjectAffineConsequences(init.G, e.inv)
 	e.normalize(init)
-	e.logStart(schedule)
-	wd := e.armWatchdog()
-	e.withProfileLabels("fixpoint", func() { e.run(init, schedule) })
-	e.settleWatchdog(wd)
-	if e.budgetHit {
-		if lg := e.opts.Log; lg != nil {
-			lg.Error("analysis aborted: step budget exhausted",
-				"job", e.opts.TracePID, "name", e.jobLabel(), "max_steps", opts.maxSteps())
-		}
-		e.dumpFlight("step-budget")
-	}
-	e.withProfileLabels("finish", e.finish)
-	e.finishProgress()
-	// The lane is quiescent here (fixpoint and finish post-pass done), so
-	// the merge reads it without synchronization.
-	opts.Profiler.Commit(g, e.prof)
-	e.logDone()
-	if opts.Metrics != nil {
-		e.publishMetrics()
-	}
+	e.ob.start(e, schedule)
+	e.ob.labeled("fixpoint", func() { e.run(init, schedule) })
+	e.ob.labeled("finish", e.finish)
+	e.ob.done(e)
 	return e.res
 }
 
@@ -532,9 +430,6 @@ func (e *engine) analyze() *Result {
 func (e *engine) run(init *State, schedule string) {
 	e.queue = newQueue(schedule)
 	e.inWork = map[uint64]bool{}
-	// The queue is private to this goroutine, so the sampler exposes only
-	// the race-safe counters (steps, configs, ladder).
-	e.registerProgress()
 	e.insert("", init, "start")
 	for {
 		id, ok := e.queue.pop()
@@ -556,8 +451,7 @@ func (e *engine) run(init *State, schedule string) {
 		}
 		e.steps.Add(1)
 		key := e.in.keyOf(id)
-		e.rec().Record("step", e.opts.TracePID, key, "")
-		sp := e.span(obs.PhaseStep, key)
+		sp := e.ob.step(key)
 		var tops []succ
 		for _, sa := range e.step(st, key) {
 			if sa.st.Top {
@@ -578,16 +472,19 @@ func (e *engine) run(init *State, schedule string) {
 // resolved, and the terminal and match slices are sorted by content so the
 // result is independent of table iteration order.
 func (e *engine) finish() {
-	sp := e.span(obs.PhaseFinish, "")
+	sp := e.ob.span(obs.PhaseFinish, "")
 	defer sp.End()
-	gsp := e.span(obs.PhaseGiveupCommit, "")
+	gsp := e.ob.span(obs.PhaseGiveupCommit, "")
 	e.commitStuckTops()
 	gsp.End()
-	for _, entry := range e.table {
+	// finalIDs keeps each final's table id, to name a demoted entry.
+	var finalIDs []uint64
+	for id, entry := range e.table {
 		if entry.st.Top {
 			e.res.Tops = append(e.res.Tops, entry.st)
 		} else if e.allAtExit(entry.st) {
 			e.res.Finals = append(e.res.Finals, entry.st)
+			finalIDs = append(finalIDs, id)
 		}
 	}
 	if e.budgetHit {
@@ -602,13 +499,13 @@ func (e *engine) finish() {
 	// so an incoherent final silently misreports the topology; demote it
 	// to ⊤ instead (a sound over-approximation, reported as imprecision).
 	finals := e.res.Finals[:0]
-	for _, fin := range e.res.Finals {
+	for i, fin := range e.res.Finals {
 		fin.ResolveHelpers()
 		if why, node := incoherentMatch(fin); why != "" {
 			fin.Top = true
 			fin.TopWhy = "stale match witness survived widening: " + why
 			e.res.Tops = append(e.res.Tops, fin)
-			e.prof.TopDemotion(node)
+			e.ob.giveUp(topDemoted, node, e.in.keyOf(finalIDs[i]), fin.TopWhy)
 			continue
 		}
 		finals = append(finals, fin)
@@ -678,9 +575,7 @@ func (e *engine) commitStuckTops() {
 			id := e.in.intern(key)
 			if e.table[id] == nil {
 				e.table[id] = &tableEntry{st: sa.st}
-				e.giveUps.Add(1)
-				e.prof.GiveUp(sa.st.TopNode)
-				e.rec().Record("giveup", e.opts.TracePID, key, "stuck: "+sa.action)
+				e.ob.giveUp(topStuck, sa.st.TopNode, key, sa.st.TopWhy)
 			}
 		}
 	}
@@ -794,14 +689,14 @@ func (e *engine) insert(fromKey string, st *State, action string) {
 		st.Release()
 		return
 	}
-	csp := e.span(obs.PhaseCanonicalize, "")
+	csp := e.ob.span(obs.PhaseCanonicalize, "")
 	st.CanonicalizeParams()
 	csp.End()
 	key := st.ShapeKey()
-	if e.opts.onRevision != nil {
-		e.opts.onRevision(key, st.Clone())
+	if e.onRevision != nil {
+		e.onRevision(key, st.Clone())
 	}
-	sp := e.span(obs.PhaseInsert, key)
+	sp := e.ob.span(obs.PhaseInsert, key)
 	defer sp.End()
 	e.recordEdge(fromKey, key, action)
 	id := e.in.intern(key)
@@ -836,9 +731,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		old := entry.st
 		entry.st = st
 		old.Release()
+		e.ob.giveUp(topStuck, st.TopNode, key, st.TopWhy)
 		return true
 	}
-	ksp := e.span(obs.PhaseKey, key)
+	ksp := e.ob.span(obs.PhaseKey, key)
 	fk := st.IdentityKey()
 	before := entry.st.IdentityKey()
 	ksp.End()
@@ -856,15 +752,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	entry.seen[fk] = struct{}{}
 	entry.seen[before] = struct{}{}
 	st.AlignTo(entry.st)
-	combinePhase := obs.PhaseJoin
-	if entry.rev >= e.opts.joinVisits() {
-		combinePhase = obs.PhaseWiden
-	}
 	// blameNode (not firstActiveNode) on purpose: the attribution must not
 	// reorder entry.st.Sets between AlignTo and combine.
-	e.prof.Combine(blameNode(entry.st), combinePhase == obs.PhaseWiden)
-	csp := e.span(combinePhase, key)
-	widened := e.combine(entry, st)
+	csp := e.ob.combine(key, blameNode(entry.st), entry.rev >= e.opts.joinVisits(), entry.rev)
+	widened := e.combine(entry, st, key)
 	csp.End()
 	if widened.Top {
 		if widened.TopKey == "" {
@@ -874,15 +765,16 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 		entry.st = widened
 		old.Release()
 		st.Release()
+		e.ob.giveUp(topWiden, widened.TopNode, key, widened.TopWhy)
 		return true
 	}
-	nsp := e.span(obs.PhaseCanonicalize, key)
+	nsp := e.ob.span(obs.PhaseCanonicalize, key)
 	remap := widened.CanonicalizeParams()
 	nsp.End()
 	if e.onCombine != nil {
 		e.onCombine(key, widened)
 	}
-	ksp = e.span(obs.PhaseKey, key)
+	ksp = e.ob.span(obs.PhaseKey, key)
 	after := widened.IdentityKey()
 	ksp.End()
 	if after == before {
@@ -903,12 +795,10 @@ func (e *engine) reviseEntry(entry *tableEntry, st *State, key string) bool {
 	}
 	entry.rev++
 	if entry.rev > e.opts.maxVisits() {
-		e.giveUps.Add(1)
-		e.rec().Record("giveup", e.opts.TracePID, key, "widening did not converge")
 		old := entry.st
 		entry.st = &State{Top: true, TopWhy: "widening did not converge at " + key,
 			TopNode: firstActiveNode(old), TopKey: key}
-		e.prof.GiveUp(entry.st.TopNode)
+		e.ob.giveUp(topStuck, entry.st.TopNode, key, entry.st.TopWhy)
 		old.Release()
 		widened.Release()
 		st.Release()
@@ -944,12 +834,12 @@ func (e *engine) recordEdge(from, to, action string) {
 
 type nodePair struct{ s, r int }
 
-// combine merges incoming state nw into the table entry's state.
-func (e *engine) combine(entry *tableEntry, nw *State) *State {
-	return e.combineRetry(entry, nw, 4)
+// combine merges incoming state nw into the table entry's state at key.
+func (e *engine) combine(entry *tableEntry, nw *State, key string) *State {
+	return e.combineRetry(entry, nw, key, 4)
 }
 
-func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State {
+func (e *engine) combineRetry(entry *tableEntry, nw *State, key string, retries int) *State {
 	old := entry.st
 	e.enrich(old, nw)
 
@@ -1100,28 +990,20 @@ func (e *engine) combineRetry(entry *tableEntry, nw *State, retries int) *State 
 			if len(failing) > 0 {
 				blame = old.Sets[failing[0]].Node.ID
 			}
-			if e.prof != nil {
-				// Profiler-only blame: when only matches failed, fall back
-				// to the failing pair's send node (TopNode itself stays on
-				// the established failing-set rule).
-				pnode := blame
-				if len(failing) == 0 && len(matchFail) > 0 {
-					pnode = matchFail[0].s
-				}
-				var fa, fb string
-				if pa, pb, okb := firstFailingBound(old, nw); okb {
-					fa, fb = pa.String(), pb.String()
-				} else if len(detail) > 0 {
-					fb = detail[0]
-				}
-				e.prof.WidenFail(pnode, fa, fb)
+			// Observation-only blame: when only matches failed, fall back
+			// to the failing pair's send node (TopNode itself stays on the
+			// established failing-set rule).
+			pnode := blame
+			if len(failing) == 0 && len(matchFail) > 0 {
+				pnode = matchFail[0].s
 			}
+			e.ob.widenFail(key, pnode, old, nw, detail)
 			return &State{Top: true, TopWhy: "widening failed: no common bound expressions: " + strings.Join(detail, "; "),
 				TopNode: blame}
 		}
 		// Retry after parametric generalization. nw2 is an intermediate
 		// trial state; the recursion only reads it.
-		res := e.combineRetry(entry, nw2, retries-1)
+		res := e.combineRetry(entry, nw2, key, retries-1)
 		nw2.Release()
 		return res
 	}
@@ -1381,55 +1263,6 @@ func firstFailingBound(old, nw *State) (a, b sym.Expr, ok bool) {
 	return sym.Zero, sym.Zero, false
 }
 
-// commonDelta finds the uniform per-iteration advance (+1 or -1) of all
-// bounds whose atom intersection failed.
-func (e *engine) commonDelta(old, nw *State) (int64, bool) {
-	posOK, negOK := true, true
-	any := false
-	check := func(a, b procset.Set) {
-		for _, pair := range [][2]procset.Bound{{a.LB, b.LB}, {a.UB, b.UB}} {
-			if boundsIntersect(pair[0], pair[1]) {
-				continue
-			}
-			any = true
-			if !advancesBy(pair[0], pair[1], 1) {
-				posOK = false
-			}
-			if !advancesBy(pair[0], pair[1], -1) {
-				negOK = false
-			}
-		}
-	}
-	for i := range old.Sets {
-		check(old.Sets[i].Range, nw.Sets[i].Range)
-	}
-	for _, m := range nw.Matches {
-		for _, om := range old.Matches {
-			if om.SendNode == m.SendNode && om.RecvNode == m.RecvNode {
-				check(om.Sender, m.Sender)
-				check(om.Receiver, m.Receiver)
-			}
-		}
-	}
-	if len(old.Pending) == len(nw.Pending) {
-		for i := range old.Pending {
-			check(old.Pending[i].Senders, nw.Pending[i].Senders)
-			if old.Pending[i].Shape == PendFan {
-				check(old.Pending[i].Dests, nw.Pending[i].Dests)
-			}
-		}
-	}
-	switch {
-	case !any:
-		return 0, false
-	case posOK:
-		return 1, true
-	case negOK:
-		return -1, true
-	}
-	return 0, false
-}
-
 // sameFailure reports whether range widening would still fail.
 func (e *engine) sameFailure(old, nw *State) bool {
 	for i := range old.Sets {
@@ -1470,19 +1303,6 @@ func boundsIntersect(a, b procset.Bound) bool {
 	return a.Intersect(b).IsValid()
 }
 
-// advancesBy reports whether some atom of b equals some atom of a plus
-// delta.
-func advancesBy(a, b procset.Bound, delta int64) bool {
-	for _, aa := range a.Atoms() {
-		for _, bb := range b.Atoms() {
-			if d, ok := sym.Cmp(bb, aa); ok && d == delta {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Propagate: one analysis step (Fig 4's propagate)
 
@@ -1497,27 +1317,21 @@ func (e *engine) step(st *State, key string) []succ {
 		}
 		if ps.Node.IsComm() {
 			if e.opts.NonBlockingSends && ps.Node.Kind == cfg.Send {
-				sp := e.span(obs.PhaseTransfer, key)
-				t0 := e.profNow()
+				p := e.ob.transfer(key)
 				out := e.issueSendStep(st, ps.ID)
-				e.profStep(ps.Node.ID, t0, len(out))
-				sp.End()
+				e.ob.stepped(p, ps.Node.ID, len(out))
 				return out
 			}
 			continue
 		}
-		sp := e.span(obs.PhaseTransfer, key)
-		t0 := e.profNow()
+		p := e.ob.transfer(key)
 		out := e.advanceSet(st, ps.ID)
-		e.profStep(ps.Node.ID, t0, len(out))
-		sp.End()
+		e.ob.stepped(p, ps.Node.ID, len(out))
 		return out
 	}
-	t0 := e.profNow()
+	p := e.ob.blockedStep()
 	out := e.stepBlocked(st, len(st.Sets)+1, key)
-	if e.prof != nil {
-		e.profStep(firstBlockedNode(st), t0, len(out))
-	}
+	e.ob.stepped(p, firstBlockedNode(st), len(out))
 	return out
 }
 
@@ -1540,7 +1354,7 @@ func firstBlockedNode(st *State) int {
 // exit: matching, self-matching, emptiness case-splits, then ⊤. depth
 // bounds nested emptiness splits.
 func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
-	msp := e.span(obs.PhaseMatch, key)
+	msp := e.ob.span(obs.PhaseMatch, key)
 	// 2a. Satisfy receives from pending (non-blocking) sends.
 	if s, ok := e.tryPendingMatches(st); ok {
 		msp.End()
@@ -1558,7 +1372,7 @@ func (e *engine) stepBlocked(st *State, depth int, key string) []succ {
 	}
 	msp.End()
 	// 4. Case-split on possibly-empty blocked sets.
-	ssp := e.span(obs.PhaseSplit, key)
+	ssp := e.ob.span(obs.PhaseSplit, key)
 	if s, ok := e.tryEmptinessSplit(st, depth, key); ok {
 		ssp.End()
 		return s
@@ -1849,11 +1663,7 @@ func (e *engine) tryPendingMatches(st *State) ([]succ, bool) {
 					ns.G.AddEq(rv, w, c)
 				}
 			}
-			if e.prof != nil {
-				// Pending delivery needs no Matcher call; count the match
-				// against the pending send's node with zero probe deltas.
-				e.prof.Match(pm.Pending.Node, 0, 0, 0, 0, true)
-			}
+			e.ob.pendingMatch(pm.Pending.Node)
 			ns.AddMatch(pm.Pending.Node, recvNode.ID, pm.SendersMatched, pm.RecvMatched)
 			advance(nr)
 			e.normalize(ns)
@@ -1932,9 +1742,9 @@ func (e *engine) tryMatches(st *State) ([]succ, bool) {
 
 // applyPairMatch matches sender's send against receiver's recv.
 func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet) ([]succ, bool) {
-	pr := e.profMatchStart()
+	pr := e.ob.matchBegin()
 	plan, ok := e.opts.Matcher.Match(ns, sender, sender.Node.Dest, receiver, receiver.Node.Src)
-	e.profMatchEnd(sender.Node.ID, pr, ok)
+	e.ob.matchEnd(pr, sender.Node.ID, ok)
 	if !ok {
 		return nil, false
 	}
@@ -1957,15 +1767,15 @@ func (e *engine) applyPairMatch(ns *State, sender, receiver *ProcSet) ([]succ, b
 // applySendRecvPair matches two sets blocked on sendrecv against each other
 // in both directions; both directions must agree on whole-set matches.
 func (e *engine) applySendRecvPair(ns *State, a, b *ProcSet) ([]succ, bool) {
-	pr := e.profMatchStart()
+	pr := e.ob.matchBegin()
 	planAB, ok := e.opts.Matcher.Match(ns, a, a.Node.Dest, b, b.Node.Src)
-	e.profMatchEnd(a.Node.ID, pr, ok)
+	e.ob.matchEnd(pr, a.Node.ID, ok)
 	if !ok || len(planAB.SenderRests) > 0 || len(planAB.RecvRests) > 0 {
 		return nil, false
 	}
-	pr = e.profMatchStart()
+	pr = e.ob.matchBegin()
 	planBA, ok := e.opts.Matcher.Match(ns, b, b.Node.Dest, a, a.Node.Src)
-	e.profMatchEnd(b.Node.ID, pr, ok)
+	e.ob.matchEnd(pr, b.Node.ID, ok)
 	if !ok || len(planBA.SenderRests) > 0 || len(planBA.RecvRests) > 0 {
 		return nil, false
 	}
@@ -2029,9 +1839,9 @@ func (e *engine) trySelfMatches(st *State) ([]succ, bool) {
 		}
 		switch ps.Node.Kind {
 		case cfg.SendRecv:
-			pr := e.profMatchStart()
+			pr := e.ob.matchBegin()
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, ps.Node.Src)
-			e.profMatchEnd(ps.Node.ID, pr, ok)
+			e.ob.matchEnd(pr, ps.Node.ID, ok)
 			if ok {
 				ns := st.Clone()
 				nps := ns.Set(ps.ID)
@@ -2047,9 +1857,9 @@ func (e *engine) trySelfMatches(st *State) ([]succ, bool) {
 			if recvNode == nil {
 				continue
 			}
-			pr := e.profMatchStart()
+			pr := e.ob.matchBegin()
 			ok := e.opts.Matcher.SelfMatch(st, ps, ps.Node.Dest, recvNode.Src)
-			e.profMatchEnd(ps.Node.ID, pr, ok)
+			e.ob.matchEnd(pr, ps.Node.ID, ok)
 			if !ok {
 				continue
 			}

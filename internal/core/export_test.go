@@ -4,17 +4,8 @@ import "repro/internal/cfg"
 
 // Test-only exports: the arrival-order permutation suite lives in the
 // external core_test package (building real matchers needs the client
-// packages, which import core), so the pieces it drives — the revision
-// recording hook and a bare revision-replay harness — are surfaced here.
-
-// WithRevisionHook returns opts with the sequential engine's revision
-// recording hook installed: fn observes a private clone of every
-// canonicalized successor state delivered to the configuration table,
-// keyed by shape.
-func WithRevisionHook(opts Options, fn func(key string, st *State)) Options {
-	opts.onRevision = fn
-	return opts
-}
+// packages, which import core), so the pieces it drives — the revision-path
+// hooks and a bare revision-replay harness — are surfaced here.
 
 // ReplayResult is the outcome of replaying one key's revision stream into
 // a fresh table entry: the converged state's identity and the ladder
@@ -68,16 +59,18 @@ func ReplayRevisions(opts Options, key string, states []*State) ReplayResult {
 	}
 }
 
-// AnalyzeObservingCombines is Analyze with a hook on the revision path:
-// fn observes every canonicalized combine result (the state whose
-// identity key reviseEntry compares with the entry's) before the compare.
-// fn must not mutate the state.
-func AnalyzeObservingCombines(g *cfg.Graph, opts Options, fn func(key string, st *State)) (*Result, error) {
-	e, err := newEngine(g, opts)
+// AnalyzeObserving is Analyze with the engine's revision-path test hooks
+// installed (either may be nil): onRevision observes a private clone of
+// every canonicalized successor state delivered to the configuration
+// table, keyed by shape; onCombine observes every canonicalized combine
+// result (the state whose identity key reviseEntry compares with the
+// entry's) before the compare and must not mutate it.
+func AnalyzeObserving(g *cfg.Graph, opts Options, onRevision, onCombine func(key string, st *State)) (*Result, error) {
+	e, err := newEngine(g, opts, 0, "")
 	if err != nil {
 		return nil, err
 	}
-	e.onCombine = fn
+	e.onRevision, e.onCombine = onRevision, onCombine
 	return e.analyze(), nil
 }
 

@@ -44,15 +44,14 @@ func (kp *keyPairs) observe(where string, st *core.State) {
 }
 
 // observeAnalysis runs one analysis with both revision-path hooks: every
-// canonicalized delivery (onRevision) and every canonicalized combine
+// canonicalized delivery and every canonicalized combine
 // result, i.e. every state whose identity key the engine compares.
 func (kp *keyPairs) observeAnalysis(name string, g *cfg.Graph) {
 	kp.t.Helper()
-	opts := core.WithRevisionHook(core.Options{}, func(key string, st *core.State) {
+	opts := core.Options{Matcher: cartesian.New(core.ScanInvariants(g))}
+	res, err := core.AnalyzeObserving(g, opts, func(key string, st *core.State) {
 		kp.observe(name+" delivery at "+key, st)
-	})
-	opts.Matcher = cartesian.New(core.ScanInvariants(g))
-	res, err := core.AnalyzeObservingCombines(g, opts, func(key string, st *core.State) {
+	}, func(key string, st *core.State) {
 		kp.observe(name+" combine at "+key, st)
 	})
 	if err != nil {
@@ -219,13 +218,12 @@ func testIdentityKeyCases(t *testing.T) {
 func BenchmarkStateIdentityKey(b *testing.B) {
 	_, g := bench.Fig7Shift().Parse()
 	var big *core.State
-	opts := core.WithRevisionHook(core.Options{}, func(_ string, st *core.State) {
+	opts := core.Options{Matcher: cartesian.New(core.ScanInvariants(g))}
+	if _, err := core.AnalyzeObserving(g, opts, func(_ string, st *core.State) {
 		if big == nil || len(st.FullKey()) > len(big.FullKey()) {
 			big = st
 		}
-	})
-	opts.Matcher = cartesian.New(core.ScanInvariants(g))
-	if _, err := core.Analyze(g, opts); err != nil {
+	}, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("identity", func(b *testing.B) {

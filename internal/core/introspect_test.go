@@ -4,14 +4,20 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cfg"
+	"repro/internal/clients/cartesian"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/parser"
+	"repro/internal/prof"
+	"repro/internal/sem"
 )
 
 // lockedBuf is an io.Writer safe to hand to the engine's StallDump and read
@@ -104,12 +110,15 @@ func TestProgressTrackerLiveAndFinal(t *testing.T) {
 	tracker := obs.NewProgressTracker()
 	done := make(chan *core.Result, 1)
 	go func() {
-		res := analyzeWith(t, g, core.Options{
+		// AnalyzeAll runs its first job as job id 1, labelled by its name.
+		jr := core.AnalyzeAll([]core.Job{{Name: "transpose-rect", G: g, Opts: core.Options{
+			Matcher:  cartesian.New(core.ScanInvariants(g)),
 			Progress: tracker,
-			TracePID: 1,
-			Name:     "transpose-rect",
-		})
-		done <- res
+		}}}, 1)[0]
+		if jr.Err != nil {
+			t.Error(jr.Err)
+		}
+		done <- jr.Res
 	}()
 
 	var lastSteps, lastConfigs, lastWiden int64
@@ -162,22 +171,165 @@ func TestProgressTrackerLiveAndFinal(t *testing.T) {
 	}
 }
 
-// TestIntrospectionDisabledIdentical: with every introspection option unset
-// the engine must produce byte-identical results to a fully instrumented
-// run — observability only observes.
+// TestIntrospectionDisabledIdentical: every observation consumer on at
+// once must leave the results byte-identical to a run with all of them
+// off — observability only observes. Runs over the paper workloads plus
+// a repro whose entries go ⊤ on both give-up paths.
 func TestIntrospectionDisabledIdentical(t *testing.T) {
-	_, g := bench.Fig7Shift().Parse()
-	plain := analyzeWith(t, g, core.Options{})
-	_, g2 := bench.Fig7Shift().Parse()
-	var dump lockedBuf
-	instrumented := analyzeWith(t, g2, core.Options{
-		Progress:       obs.NewProgressTracker(),
-		FlightRecorder: obs.NewFlightRecorder(128),
-		StallTimeout:   time.Minute,
-		StallDump:      &dump,
-		ProfileLabels:  true,
-	})
-	if got, want := signature(instrumented), signature(plain); got != want {
-		t.Errorf("instrumentation changed the result:\n got: %s\nwant: %s", got, want)
+	progs := map[string]func() *cfg.Graph{}
+	for _, w := range bench.All() {
+		w := w
+		progs[w.Name] = func() *cfg.Graph { _, g := w.Parse(); return g }
+	}
+	progs["widen_mismatch_broadcast"] = func() *cfg.Graph { return parseFile(t, wideningRepro) }
+	for name, parse := range progs {
+		parse := parse
+		t.Run(name, func(t *testing.T) {
+			plain := analyzeWith(t, parse(), core.Options{})
+			var logs, dump lockedBuf
+			lg, err := obs.NewLogger(&logs, "debug", "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			instrumented := analyzeWith(t, parse(), core.Options{
+				Tracer:         obs.NewTracer(),
+				Metrics:        obs.NewRegistry(),
+				Log:            lg,
+				Progress:       obs.NewProgressTracker(),
+				FlightRecorder: obs.NewFlightRecorder(128),
+				StallTimeout:   time.Minute,
+				StallDump:      &dump,
+				ProfileLabels:  true,
+				Profiler:       prof.New(),
+			})
+			if got, want := signature(instrumented), signature(plain); got != want {
+				t.Errorf("instrumentation changed the result:\n got: %s\nwant: %s", got, want)
+			}
+			if logs.String() == "" {
+				t.Error("logger saw no lifecycle events")
+			}
+		})
+	}
+}
+
+// wideningRepro is the fuzzer's minimized widening-failure repro: three ⊤
+// entries, two from failed widenings and one stuck configuration.
+const wideningRepro = "../../testdata/diffbugs/widen_mismatch_broadcast.mpl"
+
+// gatherLoopSrc is a gather followed by a communication-free local loop:
+// the peeled senders' loop iterations defeat widening, leaving one ⊤
+// entry whose reason is a widening failure.
+const gatherLoopSrc = `assume np >= 4
+if id == 0 then
+  for i := 1 to np - 1 do
+    recv y <- i
+  end
+elif id >= 1 then
+  send np - id -> 0
+end
+var t2
+t2 := 0
+while t2 < 3 do
+  t2 := t2 + 1
+end
+`
+
+func parseSrc(t *testing.T, name, src string) *cfg.Graph {
+	t.Helper()
+	prog, err := parser.Parse(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sem.Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	return cfg.Build(prog)
+}
+
+// TestGiveUpsCountEveryTop: every table entry that becomes ⊤ is one
+// give-up event. The give-up count in the final progress snapshot and in
+// the convergence log line equals the number of ⊤ entries (len(Tops): no
+// step budget is hit here, so every ⊤ is a table entry), and the flight
+// recorder holds one giveup event per ⊤ entry with its reason as detail,
+// preceded by that entry's combine events.
+func TestGiveUpsCountEveryTop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    func() *cfg.Graph
+		tops int
+	}{
+		{"gather_loop", func() *cfg.Graph { return parseSrc(t, "gather_loop.mpl", gatherLoopSrc) }, 1},
+		{"widen_mismatch_broadcast", func() *cfg.Graph { return parseFile(t, wideningRepro) }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g()
+			tracker := obs.NewProgressTracker()
+			rec := obs.NewFlightRecorder(1 << 14)
+			var logs lockedBuf
+			lg, err := obs.NewLogger(&logs, "info", "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr := core.AnalyzeAll([]core.Job{{Name: tc.name, G: g, Opts: core.Options{
+				Matcher:        cartesian.New(core.ScanInvariants(g)),
+				Progress:       tracker,
+				FlightRecorder: rec,
+				Log:            lg,
+			}}}, 1)[0]
+			if jr.Err != nil {
+				t.Fatal(jr.Err)
+			}
+			if got := len(jr.Res.Tops); got != tc.tops {
+				t.Fatalf("⊤ entries = %d, want %d: %v", got, tc.tops, jr.Res.TopReasons())
+			}
+
+			if snap := tracker.Snapshot(); len(snap) != 1 || snap[0].GiveUps != int64(tc.tops) {
+				t.Errorf("final progress snapshot = %+v, want give_ups %d", snap, tc.tops)
+			}
+
+			var done map[string]any
+			for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+				var rec map[string]any
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("log line %q: %v", line, err)
+				}
+				if rec["msg"] == "analysis converged with give-ups" {
+					done = rec
+				}
+			}
+			if done == nil || done["give_ups"] != float64(tc.tops) {
+				t.Errorf("convergence log line = %v, want give_ups %d", done, tc.tops)
+			}
+
+			if rec.Total() > uint64(rec.Cap()) {
+				t.Fatalf("flight recorder wrapped (%d events > %d)", rec.Total(), rec.Cap())
+			}
+			wantWhy := map[string]int{}
+			for _, top := range jr.Res.Tops {
+				wantWhy[top.TopWhy]++
+			}
+			combined := map[string]bool{}
+			giveups := 0
+			for _, ev := range rec.Snapshot() {
+				switch ev.Kind {
+				case "combine":
+					combined[ev.Key] = true
+				case "giveup":
+					giveups++
+					if wantWhy[ev.Detail] == 0 {
+						t.Errorf("giveup %q: detail is no ⊤ entry's reason", ev.Detail)
+					}
+					wantWhy[ev.Detail]--
+					// The stuck give-ups share the one TOP entry, which is
+					// created, never combined.
+					if ev.Key != "TOP" && !combined[ev.Key] {
+						t.Errorf("giveup at %s not preceded by its combine events", ev.Key)
+					}
+				}
+			}
+			if giveups != tc.tops {
+				t.Errorf("flight recorder holds %d giveup events, want %d", giveups, tc.tops)
+			}
+		})
 	}
 }

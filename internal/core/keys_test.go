@@ -20,11 +20,10 @@ func revisionStates(t *testing.T) []*core.State {
 	for _, nb := range []bool{false, true} {
 		for _, w := range bench.All() {
 			_, g := w.Parse()
-			opts := core.WithRevisionHook(core.Options{NonBlockingSends: nb}, func(_ string, st *core.State) {
+			opts := core.Options{NonBlockingSends: nb, Matcher: cartesian.New(core.ScanInvariants(g))}
+			if _, err := core.AnalyzeObserving(g, opts, func(_ string, st *core.State) {
 				out = append(out, st)
-			})
-			opts.Matcher = cartesian.New(core.ScanInvariants(g))
-			if _, err := core.Analyze(g, opts); err != nil {
+			}, nil); err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}
 		}

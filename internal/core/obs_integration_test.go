@@ -24,14 +24,11 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			tr := obs.NewTracer()
 			reg := obs.NewRegistry()
 			_, g = w.Parse()
-			m := cartesian.New(core.ScanInvariants(g))
-			m.SetObs(tr, 1)
 			res, err := core.Analyze(g, core.Options{
-				Matcher:  m,
-				Tracer:   tr,
-				Metrics:  reg,
-				TracePID: 1,
-				CGOpts:   cg.Options{Stats: &cg.Stats{}},
+				Matcher: cartesian.New(core.ScanInvariants(g)),
+				Tracer:  tr,
+				Metrics: reg,
+				CGOpts:  cg.Options{Stats: &cg.Stats{}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -64,8 +61,8 @@ func TestMetricsPublished(t *testing.T) {
 	_, g := bench.Stencil1D().Parse()
 	reg := obs.NewRegistry()
 	res := analyzeWith(t, g, core.Options{
-		Metrics: reg, TracePID: 7,
-		CGOpts: cg.Options{Stats: &cg.Stats{}},
+		Metrics: reg,
+		CGOpts:  cg.Options{Stats: &cg.Stats{}},
 	})
 	if !res.Clean() {
 		t.Fatalf("not clean: %v", res.TopReasons())
@@ -75,12 +72,14 @@ func TestMetricsPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	// A direct Analyze runs as job 0.
 	for _, want := range []string{
-		`psdf_engine_steps_total{job="7"}`,
-		`psdf_engine_configs{job="7"}`,
-		`psdf_interned_keys{job="7"}`,
-		`psdf_sched_queue_depth_max{job="7"}`,
-		`psdf_cg_joins_total{job="7"}`,
+		`psdf_engine_steps_total{job="0"}`,
+		`psdf_engine_configs{job="0"}`,
+		`psdf_interned_keys{job="0"}`,
+		`psdf_sched_queue_depth_max{job="0"}`,
+		`psdf_cg_joins_total{job="0"}`,
+		`psdf_match_memo_total{job="0",result="hit"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %s", want)
@@ -128,7 +127,8 @@ func TestAnalyzeAllPhaseBreakdown(t *testing.T) {
 			t.Errorf("parallelism=%d: no key phase in any breakdown", parallelism)
 		}
 	}
-	// A shared retaining tracer distinguishes jobs by pid.
+	// A shared retaining tracer distinguishes jobs by pid, and each job's
+	// breakdown is its own share of the tracer, not the tracer's totals.
 	tr := obs.NewTracer()
 	for i := range jobs {
 		_, g := ws[i].Parse()
@@ -140,6 +140,12 @@ func TestAnalyzeAllPhaseBreakdown(t *testing.T) {
 		if jr.Err != nil {
 			t.Fatal(jr.Err)
 		}
+		if an := jr.Phases[obs.PhaseAnalyze.String()]; an.Count != 1 {
+			t.Errorf("shared tracer %s: analyze phase = %+v, want count 1", jr.Name, an)
+		}
+		if jr.Phases[obs.PhaseStep.String()].Count == 0 {
+			t.Errorf("shared tracer %s: no step phase in breakdown", jr.Name)
+		}
 	}
 	pids := map[int]bool{}
 	for _, ev := range tr.Events() {
@@ -147,5 +153,21 @@ func TestAnalyzeAllPhaseBreakdown(t *testing.T) {
 	}
 	if !pids[1] || !pids[2] {
 		t.Errorf("shared tracer pids = %v, want jobs 1 and 2", pids)
+	}
+	// A shared aggregate-only tracer keeps no per-job split.
+	agg := obs.NewAggregate()
+	for i := range jobs {
+		_, g := ws[i].Parse()
+		jobs[i].G = g
+		jobs[i].Opts.Matcher = cartesian.New(core.ScanInvariants(g))
+		jobs[i].Opts.Tracer = agg
+	}
+	for _, jr := range core.AnalyzeAll(jobs, 2) {
+		if jr.Err != nil || jr.Phases != nil {
+			t.Errorf("shared aggregate %s: err=%v phases=%v, want no breakdown", jr.Name, jr.Err, jr.Phases)
+		}
+	}
+	if agg.Totals()[obs.PhaseAnalyze.String()].Count != int64(len(jobs)) {
+		t.Errorf("shared aggregate totals = %v, want %d analyze spans", agg.Totals(), len(jobs))
 	}
 }

@@ -20,11 +20,10 @@ import (
 func recordStreams(t *testing.T, g *cfg.Graph) map[string][]*core.State {
 	t.Helper()
 	streams := map[string][]*core.State{}
-	opts := core.WithRevisionHook(core.Options{}, func(key string, st *core.State) {
+	opts := core.Options{Matcher: cartesian.New(core.ScanInvariants(g))}
+	if _, err := core.AnalyzeObserving(g, opts, func(key string, st *core.State) {
 		streams[key] = append(streams[key], st)
-	})
-	opts.Matcher = cartesian.New(core.ScanInvariants(g))
-	if _, err := core.Analyze(g, opts); err != nil {
+	}, nil); err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	return streams

@@ -151,7 +151,6 @@ func TestProgressProverLane(t *testing.T) {
 	tracker := obs.NewProgressTracker()
 	if _, err := core.Analyze(g, core.Options{
 		Matcher:  m,
-		TracePID: 7,
 		Progress: tracker,
 	}); err != nil {
 		t.Fatal(err)

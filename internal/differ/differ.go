@@ -105,12 +105,9 @@ type Options struct {
 	// Env provides concrete values for free symbols when simulating.
 	Env map[string]int64
 	// Core seeds the analysis options: tuning overrides (JoinVisits,
-	// MaxVisits, NonBlockingSends, ...) flow into the analysis. The
-	// Matcher is managed by the harness.
+	// MaxVisits, NonBlockingSends, ...) and observation (Log, Profiler, ...)
+	// flow into the analysis. The Matcher is managed by the harness.
 	Core core.Options
-	// Profiler, when non-nil, collects the source-attribution profile of
-	// the analysis.
-	Profiler *prof.Profiler
 }
 
 func (o *Options) fill() {
@@ -135,7 +132,6 @@ func Check(src string, opts Options) *Finding {
 	g := cfg.Build(prog)
 	co := opts.Core
 	co.Matcher = cartesian.New(core.ScanInvariants(g))
-	co.Profiler = opts.Profiler
 	res, err := core.Analyze(g, co)
 	if err != nil {
 		return &Finding{Class: ClassError, Detail: fmt.Sprintf("analysis: %v", err)}
@@ -431,7 +427,7 @@ func Sweep(opts SweepOptions) *SweepResult {
 		var pr *prof.Profiler
 		if opts.Attribute {
 			pr = prof.New()
-			do.Profiler = pr
+			do.Core.Profiler = pr
 		}
 		f := Check(p.Src, do)
 		if opts.Attribute {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/prof"
 )
 
 // TestKnownProgramsAreOK pins the harness itself: the repository's known
@@ -89,6 +90,20 @@ end
 	starved := Options{Core: core.Options{MaxVisits: 3}}
 	if f := Check(src, starved); f.Class != ClassPrecision {
 		t.Fatalf("starved tuning: class = %v, want precision (%s)", f.Class, f)
+	}
+}
+
+// TestCheckKeepsCoreProfiler: a profiler passed in the analysis options
+// reaches the analysis (Check once overwrote it with a separate, usually
+// nil, field).
+func TestCheckKeepsCoreProfiler(t *testing.T) {
+	p := prof.New()
+	src := "assume np >= 2\nif id == 0 then\n  send 7 -> 1\nelif id == 1 then\n  recv y <- 0\nend\n"
+	if f := Check(src, Options{Core: core.Options{Profiler: p}}); f.Class == ClassError {
+		t.Fatalf("harness error: %s", f)
+	}
+	if steps := p.Report("check", src).Totals.Steps; steps == 0 {
+		t.Error("profiler in Options.Core recorded no steps")
 	}
 }
 

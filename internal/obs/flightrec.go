@@ -1,7 +1,7 @@
 package obs
 
 // The flight recorder is the engine's crash/stall black box: a bounded
-// ring buffer of recent scheduler, step and commit events, recorded
+// ring buffer of recent step, combine and give-up events, recorded
 // continuously at low cost and dumped only when something goes wrong (the
 // stall watchdog fires, or the step budget aborts a run). Unlike the span
 // tracer — which retains everything and is sized for offline analysis —
@@ -23,7 +23,7 @@ import (
 type FlightEvent struct {
 	Seq    uint64 `json:"seq"`
 	AtNs   int64  `json:"at_ns"`
-	Kind   string `json:"kind"` // step, giveup, stall, dump, ...
+	Kind   string `json:"kind"` // step, combine, giveup, stall, dump
 	Job    int    `json:"job"`
 	Key    string `json:"key,omitempty"`
 	Detail string `json:"detail,omitempty"`

@@ -18,7 +18,8 @@ import (
 // Progress is one analysis's point-in-time progress snapshot: the /statusz
 // JSON schema (DESIGN.md §14).
 type Progress struct {
-	// Job is the analysis's TracePID; Name its workload label.
+	// Job is the analysis's job id (core.AnalyzeAll runs job i as i+1);
+	// Name its workload label.
 	Job  int    `json:"job"`
 	Name string `json:"name,omitempty"`
 	// Done marks a final snapshot: the analysis has converged and the

@@ -215,11 +215,10 @@ type nodeInfo struct {
 // profile reuses one profiler across repeated runs of the same graph).
 // The zero value is not ready; use New.
 type Profiler struct {
-	mu      sync.Mutex
-	nodes   []Counters
-	info    []nodeInfo
-	fails   map[failKey]int64
-	commits int
+	mu    sync.Mutex
+	nodes []Counters
+	info  []nodeInfo
+	fails map[failKey]int64
 }
 
 // New returns an empty profiler. Attach it via core.Options.Profiler.
@@ -262,17 +261,6 @@ func (p *Profiler) Commit(g *cfg.Graph, l *Lanes) {
 	for _, f := range l.fails {
 		p.fails[failKey{f.Node, f.OldBound, f.NewBound}] += f.Count
 	}
-	p.commits++
-}
-
-// Commits returns how many lanes were merged (one per analysis run).
-func (p *Profiler) Commits() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.commits
 }
 
 // Report snapshots the profiler into a renderable, serializable report.
